@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-full examples results clean verify verify-obs verify-engine \
 	verify-lifecycle verify-experiments verify-cascade verify-serving verify-continuous \
-	verify-reduction crash-matrix baseline
+	verify-reduction verify-perf crash-matrix baseline
 
 install:
 	pip install -e . || python setup.py develop
@@ -91,9 +91,16 @@ verify-reduction:
 	PYTHONPATH=src python benchmarks/bench_reduction_batch.py \
 		--report benchmarks/results/reduction_batch.report.json
 
+# the repository benchmark (perf/, BENCHMARK.json): all four workloads at
+# smoke scale with every answer checked, then the benchmark's own tests —
+# an API change that breaks what perf/ drives fails here, not at the driver
+verify-perf:
+	python3 perf/run.py --smoke
+	python -m pytest perf/tests -q
+
 # the default verify chain: every subsystem gate in sequence
 verify: verify-obs verify-engine verify-lifecycle verify-experiments \
-	verify-cascade verify-serving verify-continuous verify-reduction
+	verify-cascade verify-serving verify-continuous verify-reduction verify-perf
 
 # regenerate the committed perf baseline: BENCH_medium.json at the repo
 # root plus a JSON export of the results store

@@ -207,6 +207,11 @@ class SeriesStats:
     def values(self) -> np.ndarray:
         return self._values
 
+    @property
+    def prefix_y(self) -> np.ndarray:
+        """Cumulative sums of the values: ``prefix_y[i] = sum(values[:i])``."""
+        return self._prefix_y
+
     def __len__(self) -> int:
         return int(self._values.shape[0])
 

@@ -2,10 +2,11 @@
 for adaptive representations, and the equal-length / symbolic lower bounds."""
 
 from .cascade import BoundCascade, PairwiseAccel, QueryCascade, make_pairwise_accel
+from .columnar import SegmentColumns
 from .dist_ae import dist_ae
 from .dtw import dtw, dtw_envelope, lb_keogh
-from .dist_lb import dist_lb, project_onto_layout
-from .dist_par import dist_par
+from .dist_lb import dist_lb, dist_lb_batch, project_onto_layout
+from .dist_par import dist_par, dist_par_batch
 from .equal_length import dist_cheby, dist_paa, dist_pla, triangle_lower_bound
 from .euclidean import euclidean, euclidean_squared
 from .segmentwise import aligned_distance, dist_s
@@ -17,7 +18,10 @@ __all__ = [
     "dist_s",
     "aligned_distance",
     "dist_par",
+    "dist_par_batch",
     "dist_lb",
+    "dist_lb_batch",
+    "SegmentColumns",
     "project_onto_layout",
     "dist_ae",
     "dist_pla",

@@ -19,11 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
+from ..core.kernels import window_lines
 from ..core.linefit import SeriesStats
 from ..core.segment import LinearSegmentation, Segment
+from .columnar import SegmentColumns, lane_sum
 from .segmentwise import dist_s
 
-__all__ = ["dist_lb", "project_onto_layout"]
+__all__ = ["dist_lb", "dist_lb_batch", "project_onto_layout"]
 
 
 def project_onto_layout(
@@ -77,3 +79,34 @@ def dist_lb(
     projected = project_onto_layout(query, rep_c, stats=stats)
     total = sum(dist_s(sq, sc) for sq, sc in zip(projected, rep_c))
     return float(np.sqrt(max(total, 0.0)))
+
+
+def dist_lb_batch(query: np.ndarray, columns: SegmentColumns) -> np.ndarray:
+    """:func:`dist_lb` of one query against every row of ``columns``.
+
+    Bit-identical to the scalar function row by row: the query's prefix
+    sums are the same :class:`SeriesStats`, every lane's projection is the
+    same prefix difference fed through the ``LineFit.coefficients`` closed
+    form (:func:`repro.core.kernels.window_lines`; window means on
+    constant-model rows), Dist_S uses the same operation order, and the
+    lanes are added left to right — padding lanes as ``+0.0``, which leaves
+    a running sum unchanged — exactly as ``sum()`` adds the segments.
+    """
+    query = np.asarray(query, dtype=float)
+    if query.shape[0] != columns.length:
+        raise ValueError(
+            f"series length {query.shape[0]} does not match layout length {columns.length}"
+        )
+    obs.count("dist.lb.calls", len(columns))
+    stats = SeriesStats(query)
+    starts, ends = columns.starts, columns.ends
+    qa, qb = window_lines(stats, starts, ends)
+    if columns.constant.any():
+        constant = columns.constant[:, None]
+        sum_y = stats.prefix_y[ends + 1] - stats.prefix_y[starts]
+        qa = np.where(constant, 0.0, qa)
+        qb = np.where(constant, sum_y / columns.c1, qb)
+    da = qa - columns.slopes
+    db = qb - columns.intercepts
+    values = columns.c3 * da * da + columns.c2 * da * db + columns.c1 * db * db
+    return np.sqrt(np.maximum(lane_sum(np.where(columns.mask, values, 0.0)), 0.0))

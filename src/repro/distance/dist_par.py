@@ -27,8 +27,9 @@ import numpy as np
 
 from .. import obs
 from ..core.segment import LinearSegmentation
+from .columnar import SegmentColumns, lane_sum
 
-__all__ = ["dist_par"]
+__all__ = ["dist_par", "dist_par_batch"]
 
 
 def _segment_arrays(rep: LinearSegmentation):
@@ -51,6 +52,15 @@ def _segment_arrays(rep: LinearSegmentation):
         except AttributeError:
             pass
     return arrays
+
+
+def _piece_distances(lengths: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Dist_S of every partition piece (Eq. (12)), in ``dist_s``'s operation order."""
+    return (
+        lengths * (lengths - 1) * (2 * lengths - 1) / 6.0 * da * da
+        + lengths * (lengths - 1) * da * db
+        + lengths * db * db
+    )
 
 
 def dist_par(rep_q: LinearSegmentation, rep_c: LinearSegmentation) -> float:
@@ -81,11 +91,45 @@ def dist_par(rep_q: LinearSegmentation, rep_c: LinearSegmentation) -> float:
     db = (a_q[jq] * (piece_starts - starts_q[jq]) + b_q[jq]) - (
         a_c[jc] * (piece_starts - starts_c[jc]) + b_c[jc]
     )
-    lengths = union - piece_starts + 1
-    values = (
-        lengths * (lengths - 1) * (2 * lengths - 1) / 6.0 * da * da
-        + lengths * (lengths - 1) * da * db
-        + lengths * db * db
-    )
+    values = _piece_distances(union - piece_starts + 1, da, db)
     total = sum(values.tolist())
     return float(np.sqrt(max(total, 0.0)))
+
+
+def dist_par_batch(rep_q: LinearSegmentation, columns: SegmentColumns) -> np.ndarray:
+    """:func:`dist_par` of one query representation against every row.
+
+    Each row's union partition is its own right endpoints and the query's,
+    sorted together.  An endpoint present on both sides (and every padding
+    lane, which repeats the row's last endpoint) appears twice; its second
+    copy is an empty piece and contributes ``+0.0``.  The non-empty pieces
+    are exactly ``np.union1d``'s, in the same order, every arithmetic step
+    is :func:`dist_par`'s, and the lanes are added left to right —
+    adding ``+0.0`` leaves a running sum unchanged — so each row's value is
+    bit-identical to the scalar call.
+    """
+    if rep_q.length != columns.length:
+        raise ValueError(
+            f"representations cover different lengths: {rep_q.length} vs {columns.length}"
+        )
+    obs.count("dist.par.calls", len(columns))
+    ends_q, starts_q, a_q, b_q = _segment_arrays(rep_q)
+    ends_c = columns.ends
+    rows = np.arange(len(columns))[:, None]
+    union = np.sort(
+        np.concatenate([ends_c, np.broadcast_to(ends_q, (len(columns), len(ends_q)))], axis=1),
+        axis=1,
+    )
+    piece_starts = np.zeros_like(union)
+    piece_starts[:, 1:] = union[:, :-1] + 1
+    # first segment whose end >= piece end, as np.searchsorted finds it
+    jq = np.searchsorted(ends_q, union)
+    jc = (ends_c[:, :, None] < union[:, None, :]).sum(axis=1)
+    slopes_c = columns.slopes[rows, jc]
+    da = a_q[jq] - slopes_c
+    db = (a_q[jq] * (piece_starts - starts_q[jq]) + b_q[jq]) - (
+        slopes_c * (piece_starts - columns.starts[rows, jc]) + columns.intercepts[rows, jc]
+    )
+    lengths = union - piece_starts + 1
+    values = np.where(lengths > 0, _piece_distances(lengths, da, db), 0.0)
+    return np.sqrt(np.maximum(lane_sum(values), 0.0))

@@ -12,9 +12,16 @@ indexing needs:
 * optionally ``stack`` / ``query_bound_batch`` — a vectorised form of
   ``query_bound`` over a whole collection at once, used by
   :class:`repro.engine.QueryEngine` to evaluate every candidate bound of a
-  query in one NumPy pass instead of one Python call per entry.  Only the
-  aligned equal-length methods (PLA, PAA, PAALM) admit a stacked layout;
-  adaptive-length methods fall back to the scalar bound.
+  query in a few NumPy passes instead of one Python call per entry.
+  ``stack`` builds a :class:`~repro.distance.columnar.SegmentColumns` (which
+  the database then grows with ``extend``).  Every segment method has one:
+  the aligned equal-length methods (PLA, PAA, PAALM) through the kernel
+  here, which needs one shared layout; the adaptive ones (SAPLA, APLA,
+  APCA) through
+  :func:`~repro.distance.dist_lb.dist_lb_batch` /
+  :func:`~repro.distance.dist_par.dist_par_batch`, which are bit-identical
+  to ``query_bound``.  ``DistanceMode.AE``, CHEBY and SAX have only the
+  scalar bound.
 
 ``mode`` arguments accept :class:`repro.kinds.DistanceMode` (preferred) or
 the legacy strings ``'par'`` / ``'lb'`` / ``'ae'`` with a
@@ -31,9 +38,10 @@ import numpy as np
 
 from ..kinds import DistanceMode, coerce_distance_mode
 from ..reduction.base import Reducer
+from .columnar import SegmentColumns
 from .dist_ae import dist_ae
-from .dist_lb import dist_lb
-from .dist_par import dist_par
+from .dist_lb import dist_lb, dist_lb_batch
+from .dist_par import dist_par, dist_par_batch
 from .equal_length import dist_cheby, dist_paa, dist_pla
 from .segmentwise import aligned_distance
 
@@ -43,12 +51,32 @@ __all__ = ["QueryContext", "DistanceSuite", "make_suite", "ADAPTIVE_METHODS"]
 ADAPTIVE_METHODS = ("SAPLA", "APLA", "APCA")
 
 
-@dataclass(frozen=True)
 class QueryContext:
-    """Everything the distance functions may need about the query."""
+    """Everything the distance functions may need about the query.
 
-    series: np.ndarray
-    representation: Any
+    ``representation`` is the query's reduction.  Pass it when it is already
+    in hand; otherwise pass ``reducer`` and it is computed on first access —
+    a bound that reads only the raw series (Dist_LB, Dist_AE) then never
+    reduces the query at all, and every other path reduces it exactly once.
+    """
+
+    __slots__ = ("series", "_representation", "_reducer")
+
+    def __init__(
+        self,
+        series: np.ndarray,
+        representation: Any = None,
+        reducer: "Optional[Reducer]" = None,
+    ):
+        self.series = series
+        self._representation = representation
+        self._reducer = reducer
+
+    @property
+    def representation(self) -> Any:
+        if self._representation is None and self._reducer is not None:
+            self._representation = self._reducer.transform(self.series)
+        return self._representation
 
 
 @dataclass(frozen=True)
@@ -69,39 +97,28 @@ class DistanceSuite:
 # ----------------------------------------------------------------------
 # stacked (vectorised) aligned bounds
 # ----------------------------------------------------------------------
-def _stack_aligned(representations: "Sequence[Any]") -> "tuple":
-    """Pack aligned segmentations into ``(ends, A, B, c3, c2, c1)`` arrays.
+def _stack_aligned(representations: "Sequence[Any]") -> SegmentColumns:
+    """Stack aligned segmentations; they must share one segment layout.
 
-    All representations must share one segment layout (the aligned methods
-    guarantee this for equal-length collections); the per-segment Dist_S
-    coefficients ``c3 = l(l-1)(2l-1)/6``, ``c2 = l(l-1)`` and ``c1 = l``
-    are precomputed once.
+    The aligned methods guarantee a shared layout for equal-length
+    collections, so every row's Dist_S constants equal row 0's.
     """
-    first = representations[0]
-    ends = first.right_endpoints
-    for rep in representations:
-        if rep.right_endpoints != ends:
-            raise ValueError("stacked representations must share one segment layout")
-    slopes = np.array([[seg.a for seg in rep] for rep in representations], dtype=float)
-    intercepts = np.array(
-        [[seg.b for seg in rep] for rep in representations], dtype=float
-    )
-    lengths = np.array([seg.length for seg in first], dtype=float)
-    c3 = lengths * (lengths - 1) * (2 * lengths - 1) / 6.0
-    c2 = lengths * (lengths - 1)
-    return ends, slopes, intercepts, c3, c2, lengths
+    columns = SegmentColumns(representations)
+    if not columns.uniform:
+        raise ValueError("stacked representations must share one segment layout")
+    return columns
 
 
-def _aligned_bound_batch(ctx: QueryContext, stacked: "tuple") -> np.ndarray:
+def _aligned_bound_batch(ctx: QueryContext, columns: SegmentColumns) -> np.ndarray:
     """Vectorised Dist_PLA / Dist_PAA against every stacked representation."""
-    ends, slopes, intercepts, c3, c2, c1 = stacked
     rep_q = ctx.representation
-    if rep_q.right_endpoints != ends:
+    if not columns.uniform or rep_q.right_endpoints != columns.ends[0].tolist():
         raise ValueError("query representation does not match the stacked layout")
     qa = np.array([seg.a for seg in rep_q], dtype=float)
     qb = np.array([seg.b for seg in rep_q], dtype=float)
-    da = qa[None, :] - slopes
-    db = qb[None, :] - intercepts
+    da = qa[None, :] - columns.slopes
+    db = qb[None, :] - columns.intercepts
+    c3, c2, c1 = columns.c3[0], columns.c2[0], columns.c1[0]
     total = (c3 * da * da + c2 * da * db + c1 * db * db).sum(axis=1)
     return np.sqrt(np.maximum(total, 0.0))
 
@@ -121,14 +138,22 @@ def make_suite(
     mode = coerce_distance_mode(mode)
     name = reducer.name
     if name in ADAPTIVE_METHODS:
+        batch = None
         if mode is DistanceMode.PAR:
             query = lambda ctx, rep: dist_par(ctx.representation, rep)
+            batch = lambda ctx, columns: dist_par_batch(ctx.representation, columns)
         elif mode is DistanceMode.LB:
             query = lambda ctx, rep: dist_lb(ctx.series, rep)
+            batch = lambda ctx, columns: dist_lb_batch(ctx.series, columns)
         else:
             query = lambda ctx, rep: dist_ae(ctx.series, rep)
         return DistanceSuite(
-            method=name, mode=mode.value, query_bound=query, pairwise=dist_par
+            method=name,
+            mode=mode.value,
+            query_bound=query,
+            pairwise=dist_par,
+            stack=SegmentColumns if batch is not None else None,
+            query_bound_batch=batch,
         )
     if name == "PLA":
         return DistanceSuite(

@@ -23,6 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import obs
+from ..distance.suite import ADAPTIVE_METHODS
 from ..index.knn import record_search
 from .options import BatchResult, ExecutionMode, QueryOptions
 from .parallel import run_parallel
@@ -125,13 +126,16 @@ class QueryEngine:
     def _run_vectorized(self, db, queries: np.ndarray, options: QueryOptions):
         """All queries advance in lockstep; one distance call per round."""
         deadline = _absolute_deadline(options)
+        batch_bounds = options.mode is ExecutionMode.VECTORIZED or _auto_batch_bounds(
+            db, len(queries)
+        )
         states = [
             make_state(
                 db,
                 query,
                 options.k,
                 options.lookahead,
-                use_batch_bounds=True,
+                use_batch_bounds=batch_bounds,
                 cascade=options.cascade,
             )
             for query in queries
@@ -304,6 +308,20 @@ class QueryEngine:
             if dropped:
                 obs.count("verify.abandoned", dropped)
         return distances
+
+
+def _auto_batch_bounds(db, n_queries: int) -> bool:
+    """``ExecutionMode.AUTO``'s choice: read entry bounds from the store?
+
+    Yes, with one exception while the one-query-vs-all kernels are rolled
+    out in stages: a *multi-query scan* with an adaptive reducer stays on
+    the lazy cascade heap (the path it took before the columnar store), and
+    ``ExecutionMode.VECTORIZED`` is how a caller takes the store for such a
+    batch today.  Single-query calls and tree walks always read the store.
+    Ids, distances and every search counter are identical on both paths;
+    why it is staged and what switches it over: ROADMAP item 2.
+    """
+    return n_queries == 1 or db.tree is not None or db.suite.method not in ADAPTIVE_METHODS
 
 
 def _absolute_deadline(options: QueryOptions) -> "Optional[float]":

@@ -22,10 +22,12 @@ class ExecutionMode(str, Enum):
     """How :meth:`repro.engine.QueryEngine.knn_batch` executes a batch.
 
     ``AUTO`` lets the engine choose (currently: vectorised, fanned across a
-    worker pool when ``parallelism > 1``).  ``VECTORIZED`` forces the batched
-    path: stacked representation bounds where the method supports them and
-    one NumPy verification pass per round across all pending (query,
-    candidate) pairs.  ``SEQUENTIAL`` runs each query to completion on its
+    worker pool when ``parallelism > 1``; a multi-query scan with an adaptive
+    reducer keeps the lazy cascade heap rather than the columnar store while
+    the one-query-vs-all kernels are rolled out in stages).  ``VECTORIZED``
+    forces the batched path: stacked representation bounds where the method
+    supports them and one NumPy verification pass per round across all
+    pending (query, candidate) pairs.  ``SEQUENTIAL`` runs each query to completion on its
     own with scalar bounds — the classic per-query loop, kept as the
     benchmark baseline.  All modes return identical ids and distances.
     """
@@ -54,12 +56,14 @@ class QueryOptions:
         lookahead: candidates verified per query per round after the initial
             ``k`` (1 reproduces the classic one-at-a-time refinement and is
             required for verification counts to match the sequential path).
-        cascade: evaluate representation bounds through the
-            :mod:`bound cascade <repro.distance.cascade>` — cheap dominated
-            tiers ahead of the exact bound.  Results, verification counts
-            and all search accounting are identical either way; ``False``
-            forces every bound to evaluate eagerly (the pre-cascade paths,
-            kept for benchmarking and equivalence testing).
+        cascade: evaluate bounds that have no batch form (tree nodes,
+            ``DistanceMode.AE`` / CHEBY entries, the sequential baseline)
+            through the :mod:`bound cascade <repro.distance.cascade>` —
+            cheap dominated tiers ahead of the exact bound.  Results,
+            verification counts and all search accounting are identical
+            either way; ``False`` forces those bounds to evaluate eagerly
+            (the pre-cascade paths, kept for benchmarking and equivalence
+            testing).
         early_abandon: allow large verification rounds to drop (query,
             candidate) pairs whose accumulating squared distance certainly
             exceeds the query's current k-th-best distance.  Survivors are

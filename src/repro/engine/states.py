@@ -47,6 +47,16 @@ def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
     return np.stack([np.asarray(data[int(sid)], dtype=float) for sid in series_ids])
 
 
+def _batch_bounds(db, ctx):
+    """``(series_ids, bounds)``: the query's bound against every entry from
+    the database's columnar store in one pass, or ``None`` without one."""
+    stacked = db.stacked_entries()
+    if stacked is None:
+        return None
+    sids, columns = stacked
+    return sids, db.suite.query_bound_batch(ctx, columns)
+
+
 def _query_cascade(db, ctx):
     """The database's per-query cascade, or ``None`` when unavailable."""
     cascade_of = getattr(db, "cascade", None)
@@ -98,14 +108,16 @@ class _QueryState:
 class ScanState(_QueryState):
     """GEMINI without a tree: bound every entry, verify in bound order.
 
-    Bounds come from the suite's stacked batch bound when available (one
-    NumPy pass over all entries) and otherwise from the scalar
-    ``query_bound`` loop; candidates are ordered by ``(bound, series id)``
-    and consumed until the next bound strictly exceeds the k-th best true
-    distance.
+    Bounds come from the suite's batch bound over the database's columnar
+    store when there is one (every segment method: a few NumPy passes over
+    all entries) and otherwise from the scalar ``query_bound`` loop;
+    candidates are ordered by ``(bound, series id)`` and consumed until the
+    next bound strictly exceeds the k-th best true distance.
 
-    Without a stacked layout (adaptive representations, or the sequential
-    baseline) the scalar loop is the dominant query cost, so that case runs
+    Without a store (``DistanceMode.AE``, CHEBY), or when the engine asks
+    for scalar bounds (``use_batch_bounds=False``: the sequential baseline,
+    and for now multi-query adaptive scans in ``ExecutionMode.AUTO``), the
+    scalar loop is the dominant query cost, so that case runs
     the :mod:`bound cascade <repro.distance.cascade>` lazily instead: a heap
     of ``(cheap key, series id)`` pairs whose front is refined to the exact
     bound on demand.  Dominated cheap keys make both the stop rule and the
@@ -126,8 +138,8 @@ class ScanState(_QueryState):
         super().__init__(db, query, k, lookahead)
         self._lazy = None
         self._qc = None
-        stacked = db.stacked_entries() if use_batch_bounds else None
-        if stacked is None and cascade:
+        batch = _batch_bounds(db, self.ctx) if use_batch_bounds else None
+        if batch is None and cascade:
             qc = _query_cascade(db, self.ctx)
             if qc is not None:
                 collection = qc.cascade.collection(db)
@@ -143,9 +155,8 @@ class ScanState(_QueryState):
                 self._qc = qc
                 self.n_candidates = len(heap)
                 return
-        if stacked is not None:
-            sids, packed = stacked
-            bounds = db.suite.query_bound_batch(self.ctx, packed)
+        if batch is not None:
+            sids, bounds = batch
         else:
             sids = np.array([e.series_id for e in db.entries], dtype=np.int64)
             bounds = np.array(
@@ -220,18 +231,37 @@ class TreeState(_QueryState):
     power then reflects exactly the tightness of the method's bound plus
     the index's navigation quality.
 
-    With a :mod:`bound cascade <repro.distance.cascade>` available, leaf
-    entries (and, on the DBCH-tree, node children) enter the queue keyed by
-    their cheap dominated tier and are refined to the exact key only on
-    reaching the front; tick-preserving reinsertion keeps the pop sequence
-    of refined items — and hence results, verifications and all counters —
-    identical to the single-bound walk.
+    Leaf entries enter the queue keyed by their exact bound, read by series
+    id from the query's one batch pass over the database's columnar store
+    (every segment method).  Without a store, and for DBCH node children,
+    the :mod:`bound cascade <repro.distance.cascade>` applies: items enter
+    keyed by their cheap dominated tier and are refined to the exact key
+    only on reaching the front; tick-preserving reinsertion keeps the pop
+    sequence of refined items — and hence results, verifications and all
+    counters — identical to the single-bound walk.
     """
 
-    def __init__(self, db, query, k: int, lookahead: int, cascade: bool = True):
+    def __init__(
+        self,
+        db,
+        query,
+        k: int,
+        lookahead: int,
+        use_batch_bounds: bool,
+        cascade: bool = True,
+    ):
         super().__init__(db, query, k, lookahead)
         self.frontier = _Frontier()
         self.visited = 0
+        #: exact entry bounds indexed by series id (a plain list: the walk
+        #: reads one Python float per leaf entry), or ``None``
+        self._entry_bounds = None
+        batch = _batch_bounds(db, self.ctx) if use_batch_bounds else None
+        if batch is not None:
+            sids, bounds = batch
+            by_sid = np.full(int(sids.max()) + 1, np.nan)
+            by_sid[sids] = bounds
+            self._entry_bounds = by_sid.tolist()
         self._qc = _query_cascade(db, self.ctx) if cascade else None
         self._node_tier = self._qc is not None and db.index_kind == IndexKind.DBCH
         #: node keys that are navigation hints, not bounds (adaptive R-tree):
@@ -262,7 +292,10 @@ class TreeState(_QueryState):
                 continue
             self.visited += 1
             if payload.is_leaf:
-                if qc is not None:
+                if self._entry_bounds is not None:
+                    for entry in payload.entries:
+                        frontier.push_entry(self._entry_bounds[entry.series_id], entry)
+                elif qc is not None:
                     for entry in payload.entries:
                         frontier.push_entry(
                             qc.cheap(entry.representation), entry, refined=False
@@ -309,4 +342,4 @@ def make_state(
     """The right state machine for ``db``'s index configuration."""
     if db.tree is None:
         return ScanState(db, query, k, lookahead, use_batch_bounds, cascade)
-    return TreeState(db, query, k, lookahead, cascade)
+    return TreeState(db, query, k, lookahead, use_batch_bounds, cascade)

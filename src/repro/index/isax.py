@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from ..distance.euclidean import euclidean
 from ..index.knn import KNNResult
@@ -35,6 +34,8 @@ __all__ = ["ISAXIndex"]
 
 def _breakpoints(bits: int) -> np.ndarray:
     """The ``2^bits - 1`` nested Gaussian breakpoints for this cardinality."""
+    from scipy.stats import norm  # at the call site, as in reduction/sax.py
+
     cells = 1 << bits
     return norm.ppf(np.arange(1, cells) / cells)
 

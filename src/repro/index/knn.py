@@ -25,6 +25,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .. import obs
+from ..distance.columnar import grown
 from ..distance.euclidean import euclidean
 from ..distance.suite import ADAPTIVE_METHODS, QueryContext, make_suite
 from ..kinds import DistanceMode, IndexKind, coerce_index_kind
@@ -39,9 +40,6 @@ from .rtree import RTree
 __all__ = ["KNNResult", "SeriesDatabase", "TopK", "linear_scan", "record_search"]
 
 _INF = float("inf")
-
-#: cache sentinel: stacking was attempted and is not applicable
-_STACK_UNAVAILABLE = object()
 
 #: rows per block when a ground-truth scan streams a disk-resident view
 _SCAN_BLOCK_ROWS = 512
@@ -263,6 +261,9 @@ class SeriesDatabase(MutableDatabase):
         self.entries: "List[Entry]" = []
         self.tree = None
         self._weights: Optional[np.ndarray] = None
+        #: the columnar representation store ``[sids buffer, stacked layout]``
+        #: behind :meth:`stacked_entries`: built at ``_install``, appended to
+        #: by inserts, dropped (and rebuilt on next use) by deletes.
         self._rep_cache = None
         self._engine = None
         #: amortised-doubling row buffer; ``data`` is always ``_buf[:_count]``
@@ -361,6 +362,7 @@ class SeriesDatabase(MutableDatabase):
         with self._mutate_lock:
             self._pending = []
             self._generation += 1
+        self.stacked_entries()
         if not self.entries:
             self.tree = None  # nothing to index; searches fall back to a scan
         elif self.index_kind == IndexKind.RTREE:
@@ -473,24 +475,27 @@ class SeriesDatabase(MutableDatabase):
     def stacked_entries(self):
         """``(series_ids, stacked)`` for the suite's vectorised bound, or ``None``.
 
-        Built lazily and cached until the entry set changes; ``None`` when the
-        method has no stacked layout (adaptive-length representations) or the
-        stored layouts disagree.
+        The database's one representation cache: ``stacked`` is the suite's
+        columnar layout of every entry's representation, row ``i`` belonging
+        to ``series_ids[i]`` (ascending, in entry order).  It is built when
+        the entry set is installed, grown in place by each insert and
+        rebuilt here after a delete; snapshots, the disk-backed wrapper and
+        shards all read this one store.  ``None`` when the method has no
+        stacked layout (``DistanceMode.AE``, CHEBY, SAX), there are no
+        entries, or the stored layouts cannot be stacked.
         """
-        if self.suite.stack is None or self.suite.query_bound_batch is None:
+        if self.suite.stack is None or not self.entries:
             return None
-        if not self.entries:
-            return None
-        if self._rep_cache is None:
+        cache = self._rep_cache
+        if cache is None:
             try:
                 stacked = self.suite.stack([e.representation for e in self.entries])
-                sids = np.array([e.series_id for e in self.entries], dtype=np.int64)
-                self._rep_cache = (sids, stacked)
             except ValueError:
-                self._rep_cache = _STACK_UNAVAILABLE
-        if self._rep_cache is _STACK_UNAVAILABLE:
-            return None
-        return self._rep_cache
+                return None
+            sids = np.array([e.series_id for e in self.entries], dtype=np.int64)
+            self._rep_cache = cache = [sids, stacked]
+        sids, stacked = cache
+        return sids[: len(stacked)], stacked
 
     def ground_truth(self, query: np.ndarray, k: int) -> KNNResult:
         """Exact k-NN by linear scan over the ingested raw data."""
@@ -671,11 +676,17 @@ class SeriesDatabase(MutableDatabase):
             self.entries.append(payload)
             if self.tree is not None:
                 self.tree.insert(payload)
+            cache = self._rep_cache
+            if cache is not None:
+                filled = len(cache[1])
+                cache[1].extend([payload.representation])
+                cache[0] = grown(cache[0], filled, filled + 1)
+                cache[0][filled] = payload.series_id
         else:
             self.entries = [e for e in self.entries if e.series_id != payload]
             if self.tree is not None:
                 self.tree.delete(payload)
-        self._rep_cache = None
+            self._rep_cache = None
         self._generation += 1
 
     def _replay_insert(self, series_id: int, series: np.ndarray) -> None:
@@ -839,8 +850,9 @@ class SeriesDatabase(MutableDatabase):
 
     # ------------------------------------------------------------------
     def query_context(self, query: np.ndarray) -> QueryContext:
-        """Reduce ``query`` and package it for the distance suite."""
-        return QueryContext(series=query, representation=self.reducer.transform(query))
+        """Package ``query`` for the distance suite; its reduction is computed
+        on first access (see :class:`repro.distance.QueryContext`)."""
+        return QueryContext(series=query, reducer=self.reducer)
 
     def node_distance(self, ctx: QueryContext, node) -> float:
         """Index-structure distance from the query to a tree node."""

@@ -76,7 +76,12 @@ class Snapshot:
         return self._db.node_distance(ctx, node)
 
     def stacked_entries(self):
-        """The stacked representation cache (stable while pinned)."""
+        """The owning database's columnar representation store.
+
+        Inserts grow it in place and deletes rebuild it, but both are
+        deferred while any snapshot is pinned, so it matches the pinned
+        entry list for the view's whole lifetime.
+        """
         return self._db.stacked_entries()
 
     def cascade(self):

@@ -78,8 +78,14 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "reduce.batch_rows": (COUNTER, "series reduced through the batch path"),
     "reduce.scalar_fallback": (COUNTER, "batch rows reduced by the per-row fallback loop"),
     # ----------------------------------------------------------- distances
-    "dist.par.calls": (COUNTER, "Dist_PAR invocations"),
-    "dist.lb.calls": (COUNTER, "Dist_LB invocations"),
+    "dist.par.calls": (
+        COUNTER,
+        "Dist_PAR evaluations: scalar calls plus rows bounded per batch pass",
+    ),
+    "dist.lb.calls": (
+        COUNTER,
+        "Dist_LB evaluations: scalar calls plus rows bounded per batch pass",
+    ),
     "dist.euclidean.exact": (COUNTER, "exact raw-series Euclidean fallbacks"),
     # -------------------------------------------------------- bound cascade
     "cascade.queries": (COUNTER, "queries answered through the bound cascade"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from ..core.linefit import SeriesStats
 from ..core.segment import LinearSegmentation, Segment
@@ -65,6 +64,8 @@ class OneDSAX(Reducer):
 
     # ------------------------------------------------------------------
     def _slope_breakpoints(self, segment_length: float) -> np.ndarray:
+        from scipy.stats import norm  # at the call site, as in sax.py
+
         sigma = self.slope_scale / max(segment_length, 1.0)
         quantiles = np.arange(1, self.slope_alphabet) / self.slope_alphabet
         return norm.ppf(quantiles, scale=sigma)
@@ -127,5 +128,7 @@ class OneDSAX(Reducer):
 
     @staticmethod
     def _cell_centers(alphabet: int, sigma: float) -> np.ndarray:
+        from scipy.stats import norm
+
         qs = (np.arange(alphabet) + 0.5) / alphabet
         return norm.ppf(qs, scale=sigma)

@@ -18,7 +18,6 @@ pattern stability, reproducing PAALM's qualitative behaviour.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from ..core.segment import LinearSegmentation, Segment
 from .base import SegmentReducer, equal_length_bounds
@@ -41,6 +40,8 @@ def lagrangian_smooth(series: np.ndarray, lam: float) -> np.ndarray:
     n = series.shape[0]
     if n == 1 or lam == 0.0:
         return series.astype(float)
+    from scipy.linalg import solveh_banded  # at the call site, as in sax.py
+
     return solveh_banded(_smoothing_bands(n, lam), series.astype(float))
 
 
@@ -54,6 +55,8 @@ def lagrangian_smooth_batch(matrix: np.ndarray, lam: float) -> np.ndarray:
     n = matrix.shape[1]
     if n == 1 or lam == 0.0:
         return matrix.astype(float)
+    from scipy.linalg import solveh_banded
+
     return solveh_banded(_smoothing_bands(n, lam), matrix.astype(float).T).T
 
 

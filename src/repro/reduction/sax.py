@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .base import Reducer, equal_length_bounds
 
@@ -23,6 +22,8 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
     """The ``alphabet_size - 1`` breakpoints splitting N(0,1) into equal-mass cells."""
     if alphabet_size < 2:
         raise ValueError("the SAX alphabet needs at least two symbols")
+    from scipy.stats import norm  # at the call site: SciPy is ~1 s / 65 MB to import
+
     quantiles = np.arange(1, alphabet_size) / alphabet_size
     return norm.ppf(quantiles)
 
@@ -85,5 +86,7 @@ class SAX(Reducer):
 
     def _cell_centers(self) -> np.ndarray:
         """Median of each Gaussian cell, for numeric reconstruction."""
+        from scipy.stats import norm
+
         qs = (np.arange(self.alphabet_size) + 0.5) / self.alphabet_size
         return norm.ppf(qs)

@@ -263,3 +263,18 @@ class TestDeprecatedEntryPoints:
         assert loaded._count == db._count
         query = np.asarray(db.data)[0]
         assert loaded.knn(query, 3).ids == db.knn(query, 3).ids
+
+
+def test_importing_the_client_does_not_import_scipy():
+    """SciPy is ~1 s and ~65 MB to import and only SAX / PAALM use it, at
+    their call sites; a process that serves or queries pays for neither."""
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    probe = "import sys; import repro.client; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)}, timeout=120
+    )
+    assert done.returncode == 0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distance import ADAPTIVE_METHODS
 from repro.engine import ExecutionMode, QueryEngine, QueryOptions
 from repro.index import SeriesDatabase, linear_scan
 from repro.kinds import DistanceMode, IndexKind
@@ -67,17 +68,79 @@ def assert_same_accounting(a, b):
 @pytest.mark.parametrize("mode", list(DistanceMode))
 @pytest.mark.parametrize("name", sorted(REDUCERS))
 def test_batch_matches_per_query_and_sequential(name, mode, index):
-    """Full grid: knn == knn_batch == SEQUENTIAL mode, bit for bit."""
+    """Full grid: knn == knn_batch == SEQUENTIAL mode, bit for bit.
+
+    For the adaptive reducers the vectorised path reads its entry bounds
+    from the columnar store's one-query-vs-all kernels, which are
+    bit-identical to the scalar bounds the sequential path evaluates — so
+    there every search counter must agree as well, scan and tree alike.
+    ``AUTO`` keeps a multi-query adaptive scan on the lazy cascade heap, so
+    ``VECTORIZED`` (which always reads the store) is compared too.
+    """
     data = dataset()
     db = build(name, index, mode, data)
     queries = np.stack([data[3] + 0.1, data[10] - 0.2, data[0]])
     singles = [db.knn(q, 5) for q in queries]
     batched = db.knn_batch(queries, QueryOptions(k=5))
+    vectorized = db.knn_batch(queries, QueryOptions(k=5, mode=ExecutionMode.VECTORIZED))
     sequential = db.knn_batch(queries, QueryOptions(k=5, mode=ExecutionMode.SEQUENTIAL))
     assert not batched.timed_out
-    for single, bat, seq in zip(singles, batched.results, sequential.results):
+    for single, bat, vec, seq in zip(
+        singles, batched.results, vectorized.results, sequential.results
+    ):
         assert_same(single, bat)
+        assert_same(single, vec)
         assert_same(single, seq)
+        if name in ADAPTIVE_METHODS:
+            assert_same_accounting(single, seq)
+            assert_same_accounting(bat, seq)
+            assert_same_accounting(vec, seq)
+
+
+@pytest.mark.parametrize(
+    "index,mode,reductions",
+    [
+        (None, DistanceMode.LB, 0),  # Dist_LB reads the raw query only
+        (None, DistanceMode.PAR, 1),
+        (IndexKind.DBCH, DistanceMode.LB, 1),  # node distances need the reduction
+        (IndexKind.DBCH, DistanceMode.PAR, 1),
+    ],
+    ids=["scan-lb", "scan-par", "dbch-lb", "dbch-par"],
+)
+def test_query_is_reduced_only_when_read_and_only_once(index, mode, reductions):
+    data = dataset()
+    db = build("SAPLA", index, mode, data)
+    calls = []
+    transform = db.reducer.transform
+    db.reducer.transform = lambda series: calls.append(1) or transform(series)
+    try:
+        result = db.knn(data[3] + 0.1, 5)
+    finally:
+        del db.reducer.transform
+    assert len(calls) == reductions
+    assert_same(result, db.knn_batch(data[3:4] + 0.1, QueryOptions(k=5)).results[0])
+
+
+@pytest.mark.parametrize(
+    "index,mode,n_queries,reads",
+    [
+        (None, ExecutionMode.AUTO, 1, 1),
+        (None, ExecutionMode.AUTO, 3, 0),  # staged: lazy cascade heap for now
+        (None, ExecutionMode.VECTORIZED, 3, 3),
+        (IndexKind.DBCH, ExecutionMode.AUTO, 3, 3),
+        (None, ExecutionMode.SEQUENTIAL, 3, 0),
+    ],
+    ids=["scan-1", "scan-3", "scan-3-vectorized", "dbch-3", "scan-3-sequential"],
+)
+def test_which_calls_read_the_columnar_store(index, mode, n_queries, reads):
+    """One store read per query wherever the one-vs-all bounds are in use."""
+    data = dataset()
+    db = build("SAPLA", index, DistanceMode.LB, data)
+    calls = []
+    stacked_entries = db.stacked_entries
+    db.stacked_entries = lambda: calls.append(1) or stacked_entries()
+    db.knn_batch(data[:n_queries] + 0.1, QueryOptions(k=3, mode=mode))
+    assert len(calls) == reads
 
 
 @pytest.mark.parametrize("index", INDEXES, ids=["scan", "dbch", "rtree"])
@@ -244,7 +307,7 @@ class TestPropertyEquivalence:
         db = SeriesDatabase(REDUCERS["SAPLA"](6), index=index, distance_mode=mode)
         db.ingest(data)
         off = QueryOptions(k=k, cascade=False, early_abandon=False)
-        on = db.knn_batch(queries, QueryOptions(k=k))
+        on = db.knn_batch(queries, QueryOptions(k=k, mode=ExecutionMode.VECTORIZED))
         base = db.knn_batch(queries, off)
         seq_on = db.knn_batch(queries, QueryOptions(k=k, mode=ExecutionMode.SEQUENTIAL))
         seq_base = db.knn_batch(
@@ -261,7 +324,7 @@ class TestPropertyEquivalence:
         ):
             assert_same_accounting(a, b)
             assert_same_accounting(c, d)
-            assert_same(a, c)
+            assert_same_accounting(a, c)  # batch bounds == scalar bounds, to the bit
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)

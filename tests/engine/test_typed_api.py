@@ -82,6 +82,13 @@ class TestDatabaseSurface:
         assert suite.stack is not None
         assert suite.query_bound_batch is not None
 
-    def test_adaptive_suites_have_no_batch_bound(self):
-        suite = make_suite(SAPLAReducer(6), DistanceMode.LB)
+    @pytest.mark.parametrize("mode", [DistanceMode.LB, DistanceMode.PAR])
+    def test_adaptive_suites_expose_the_batch_bound(self, mode):
+        suite = make_suite(SAPLAReducer(6), mode)
+        assert suite.stack is not None
+        assert suite.query_bound_batch is not None
+
+    def test_adaptive_ae_suite_keeps_only_the_scalar_bound(self):
+        suite = make_suite(SAPLAReducer(6), DistanceMode.AE)
+        assert suite.stack is None
         assert suite.query_bound_batch is None

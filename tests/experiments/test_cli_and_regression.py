@@ -2,7 +2,9 @@
 the sqlite store and make ``repro experiment diff`` exit non-zero naming the
 violated threshold, while an unmodified run passes the same gates."""
 
+import itertools
 import json
+import types
 
 import pytest
 
@@ -64,10 +66,26 @@ class TestCLI:
             main(["experiment", "diff", str(spec_file)])
 
 
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """Replace the workloads' clock by one that advances 2**-10 s per reading.
+
+    Every measured duration then depends only on how many clock readings it
+    spans (a binary fraction, so the differences are exact), two runs of
+    one spec report identical timing metrics, and the percentage gates
+    compare exact numbers, never two wall-clock samples.
+    """
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks) / 1024.0)
+    monkeypatch.setattr("repro.experiments.workloads.time", clock)
+
+
+@pytest.mark.usefixtures("ticking_clock")
 class TestRegressionGate:
     def test_unmodified_run_passes_gates(self, spec_file, tmp_path, capsys):
         baseline = run_spec(spec_file, tmp_path, "base")
-        run_spec(spec_file, tmp_path, "current")  # identical second run
+        current = run_spec(spec_file, tmp_path, "current")  # identical second run
+        assert load_bench(current)["cells"] == load_bench(baseline)["cells"]
         code = main(
             ["experiment", "diff", str(spec_file),
              "--store", str(tmp_path / "store.sqlite"),
