@@ -1,6 +1,7 @@
 """Crash-matrix smoke: SIGKILL an ingesting subprocess, verify recovery.
 
-Seeds a database directory, then for each kill point forks a child that
+Seeds a database directory of each row-store kind (the test suite's own
+``seed_directory`` helper), then for each kill point forks a child that
 opens the directory durably (``FsyncPolicy.ALWAYS``) and streams inserts,
 killing it with SIGKILL after N acknowledged inserts.  After every kill the
 directory is reopened and checked:
@@ -29,17 +30,17 @@ import tempfile
 import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
+from repro.engine.states import gather_rows  # noqa: E402
 from repro.index import SeriesDatabase  # noqa: E402
 from repro.io import open_database  # noqa: E402
 from repro.kinds import IndexKind  # noqa: E402
 from repro.reduction import PAA  # noqa: E402
+from tests.lifecycle.test_crash_recovery import KINDS, LENGTH, seed_directory  # noqa: E402
 
-LENGTH = 32
-SEED_ROWS = 16
 CHILD_SEED = 20220329  # the paper's conference year + date, fixed forever
 
 CHILD_SCRIPT = textwrap.dedent(
@@ -59,13 +60,6 @@ CHILD_SCRIPT = textwrap.dedent(
         print(sid, flush=True)
     """
 )
-
-
-def seed_directory(directory: pathlib.Path) -> None:
-    rng = np.random.default_rng(0)
-    db = SeriesDatabase(PAA(n_coefficients=8), index=IndexKind.DBCH)
-    db.ingest(rng.normal(size=(SEED_ROWS, LENGTH)))
-    db.save(directory)
 
 
 def kill_child_after(directory: pathlib.Path, acks: int, total: int) -> "list[int]":
@@ -102,7 +96,7 @@ def verify(directory: pathlib.Path, acked: "list[int]") -> "list[str]":
     if lost:
         problems.append(f"lost {len(lost)} acknowledged insert(s): {lost[:8]}")
     clean = SeriesDatabase(PAA(n_coefficients=8), index=IndexKind.DBCH)
-    clean.ingest(np.asarray(db.data)[: len(live)])
+    clean.ingest(gather_rows(db.data, live))
     rng = np.random.default_rng(99)
     for q in rng.normal(size=(3, LENGTH)):
         a, b = db.knn(q, 5), clean.knn(q, 5)
@@ -122,23 +116,27 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     kill_points = sorted(int(k) for k in rng.integers(1, max(args.series // 2, 2), args.kills))
     failures = 0
-    for point in kill_points:
+    runs = [(kind, point) for point in kill_points for kind in KINDS]
+    for kind, point in runs:
         with tempfile.TemporaryDirectory(prefix="crash-matrix-") as tmp:
             directory = pathlib.Path(tmp)
-            seed_directory(directory)
+            seed_directory(directory, kind)
             acked = kill_child_after(directory, point, args.series)
             problems = verify(directory, acked)
         if problems:
             failures += 1
-            print(f"FAIL kill after {point} acks:")
+            print(f"FAIL {kind} kill after {point} acks:")
             for problem in problems:
                 print(f"  - {problem}")
         else:
-            print(f"ok   kill after {point:>4} acks: {len(acked)} acknowledged, all recovered")
+            print(
+                f"ok   {kind:>6} kill after {point:>4} acks: "
+                f"{len(acked)} acknowledged, all recovered"
+            )
     if failures:
-        print(f"{failures}/{len(kill_points)} kill point(s) failed")
+        print(f"{failures}/{len(runs)} run(s) failed")
         return 1
-    print(f"crash matrix clean: {len(kill_points)} kill point(s), zero lost records")
+    print(f"crash matrix clean: {len(runs)} run(s), zero lost records")
     return 0
 
 

@@ -1,10 +1,9 @@
 """Single-shot deprecation warnings for legacy entry points.
 
-The public API accreted three generations of entry points (the free
-``knn(...)`` function, direct ``QueryEngine`` construction, the
-``save_database``/``load_database`` aliases).  They all keep working —
-routed through the :mod:`repro.client` facade — but each warns exactly
-once per process so a tight loop over a legacy call site does not flood
+The public API accreted generations of entry points (the free
+``knn(...)`` function, direct ``QueryEngine`` construction, string-typed
+kinds).  They keep working — routed through the :mod:`repro.client`
+facade — but each warns exactly once per process so a tight loop over a legacy call site does not flood
 stderr.  Tests reset the memory with :func:`reset_warned`.
 """
 

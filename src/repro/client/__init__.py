@@ -1,8 +1,7 @@
 """The one query facade: ``connect(anything) -> Client``.
 
-Three generations of entry points (the free ``knn`` function, direct
-``QueryEngine`` construction, the ``save_database``/``load_database``
-aliases) collapse into this package: :func:`connect` resolves *any* target
+Generations of entry points (the free ``knn`` function, direct
+``QueryEngine`` construction) collapse into this package: :func:`connect` resolves *any* target
 — a database object, a saved database directory, a sharded home, or a
 ``tcp://host:port`` URL — into a :class:`Client` whose typed
 :class:`KnnRequest`/:class:`RangeRequest`/:class:`QueryResult` vocabulary
@@ -62,7 +61,7 @@ def connect(target: "Union[str, pathlib.Path, object]", durability=None) -> Clie
       (per-shard WAL recovery included) behind a :class:`LocalClient`;
     * a directory containing ``config.json`` — a single database directory,
       opened via :func:`repro.io.open_database`;
-    * any object with the engine surface (``knn_batch``/``range_query``) —
+    * any object with the engine surface (``knn_batch``/``range_batch``) —
       served in process as-is.
 
     ``durability`` (a :class:`repro.lifecycle.DurabilityOptions`) is

@@ -2,9 +2,8 @@
 
 :class:`Client` is the one query surface :func:`repro.client.connect`
 returns, whatever the backend; :class:`LocalClient` implements it directly
-over anything with the engine surface (``knn_batch`` / ``range_query``):
-a :class:`repro.index.SeriesDatabase`, a
-:class:`repro.storage.DiskBackedDatabase` or a
+over anything with the engine surface (``knn_batch`` / ``range_batch``):
+a :class:`repro.index.SeriesDatabase` (memory or disk-backed) or a
 :class:`repro.serving.ShardedEngine`.
 """
 
@@ -108,11 +107,10 @@ class LocalClient(Client):
         return QueryResult.from_batch(batch)
 
     def range(self, request: RangeRequest) -> QueryResult:
-        """Run the radius query through the target's ``range_query``."""
-        result = self.database.range_query(request.query, request.radius)
-        return QueryResult.from_knn(
-            result, generation=getattr(self.database, "generation", None)
-        )
+        """Run the radius query through the target's ``range_batch``; the
+        reply carries the generation of the snapshot the walk ran on."""
+        batch = self.database.range_batch(request.query[None, :], request.radius)
+        return QueryResult.from_batch(batch)[0]
 
     # -- mutation + continuous surface -----------------------------------
     def _evaluator(self) -> ContinuousEvaluator:

@@ -27,8 +27,8 @@ standing subscription re-evaluates *incrementally*:
   :class:`~repro.continuous.OnlineDiscordScorer` (bulk ``extend``); each
   raised alert becomes its own notification.
 
-Because every incremental step uses the same distance primitive and the
-same tie-break as the batch engine, the maintained frontier is
+Because every incremental step uses the engine's one distance primitive and
+the same tie-break as the batch engine, the maintained frontier is
 **bit-identical** to re-running the query from scratch on the final
 snapshot — the equivalence property ``tests/continuous`` checks across
 reducer × index × shard layouts (adaptive reducers need
@@ -51,8 +51,8 @@ import numpy as np
 
 from .. import obs
 from ..apps.windows import sliding_windows, windows_overlap
-from ..distance.euclidean import euclidean
 from ..engine.options import QueryOptions
+from ..engine.states import gather_rows
 from .anomaly import OnlineDiscordScorer
 from .queries import (
     AnomalyWatch,
@@ -71,10 +71,6 @@ Sink = Callable[[Notification], None]
 Pair = Tuple[float, int]  # (distance, global id) — the stable sort key
 
 
-def _inner_db(target):
-    return getattr(target, "_inner", target)
-
-
 def _is_sharded(target) -> bool:
     return hasattr(target, "shards")
 
@@ -83,8 +79,7 @@ def _total_rows(target) -> int:
     """Rows ever inserted (tombstones included) — the next global id."""
     if _is_sharded(target):
         return int(target.count)
-    inner = _inner_db(target)
-    return 0 if inner.data is None else int(inner._count)
+    return int(target._count)
 
 
 def _live_gids(target) -> "List[int]":
@@ -93,25 +88,17 @@ def _live_gids(target) -> "List[int]":
         n = target.n_shards
         gids: "List[int]" = []
         for s, shard in enumerate(target.shards):
-            gids.extend(local * n + s for local in _inner_db(shard)._live_ids)
+            gids.extend(local * n + s for local in shard._live_ids)
         return sorted(gids)
-    return sorted(_inner_db(target)._live_ids)
+    return sorted(target._live_ids)
 
 
 def _row(target, gid: int) -> np.ndarray:
     """One raw row by global id (tombstoned rows are still addressable)."""
     if _is_sharded(target):
         n = target.n_shards
-        inner = _inner_db(target.shards[gid % n])
-        local = gid // n
-    else:
-        inner = _inner_db(target)
-        local = gid
-    data = inner.data
-    gather = getattr(data, "gather", None)
-    if gather is not None and not isinstance(data, np.ndarray):
-        return np.asarray(gather([local]), dtype=float)[0]
-    return np.asarray(data[local], dtype=float)
+        target, gid = target.shards[gid % n], gid // n
+    return gather_rows(target.data, [gid])[0]
 
 
 def _distance(row: np.ndarray, query: np.ndarray) -> float:
@@ -415,10 +402,7 @@ class ContinuousEvaluator:
             ]
         if isinstance(query, RangeWatch):
             obs.count("continuous.delta_evals")
-            # range_query verifies with euclidean() (sqrt of a dot product),
-            # a different float reduction than the knn batch primitive —
-            # bit-identity to a scratch range run needs the same one
-            d = euclidean(series, np.asarray(query.query, dtype=float))
+            d = _distance(series, query.query)
             if d > query.radius:
                 return []
             runtime.pairs = sorted(runtime.pairs + [(d, gid)])

@@ -1,4 +1,4 @@
-"""The batched k-NN query engine.
+"""The batched k-NN (and range) query engine.
 
 :class:`QueryEngine.knn_batch` plans every query of a batch up front (one
 :mod:`state machine <repro.engine.states>` each), then advances all of them
@@ -9,6 +9,9 @@ row-wise primitive :func:`repro.index.linear_scan` uses, so distances agree
 bit-for-bit.  Because each state's decisions depend only on its own history,
 a query answers identically whether it runs alone (``SeriesDatabase.knn``),
 inside a batch, or inside a worker process (``parallelism > 1``).
+
+:meth:`QueryEngine.range_batch` runs the same states under the same pin
+with a fixed-radius result collector (see :mod:`repro.engine.states`).
 
 Deadlines are checked between rounds: when the batch's ``deadline_s``
 expires, the remaining queries finalise with their best-so-far neighbours
@@ -24,10 +27,10 @@ import numpy as np
 
 from .. import obs
 from ..distance.suite import ADAPTIVE_METHODS
-from ..index.knn import record_search
+from ..index.knn import RangeHits, record_search
 from .options import BatchResult, ExecutionMode, QueryOptions
 from .parallel import run_parallel
-from .states import gather_rows, make_state
+from .states import WHOLE_RUN, gather_rows, make_state
 
 __all__ = ["QueryEngine"]
 
@@ -71,11 +74,30 @@ class QueryEngine:
         each query alone.
         """
         options = options if options is not None else QueryOptions()
+        with obs.span("engine.knn_batch"):
+            return self._serve(queries, options, None)
+
+    def range_batch(self, queries: np.ndarray, radius: float) -> BatchResult:
+        """Every series within Euclidean ``radius`` of each row of ``queries``.
+
+        The k-NN walk with the radius where k-NN has the k-th best distance:
+        same state machines, same snapshot pin, same verification rounds;
+        ``results[i]`` holds every hit of ``queries[i]``, nearest first.
+        """
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        with obs.span("engine.range_batch"):
+            return self._serve(queries, QueryOptions(k=WHOLE_RUN), radius)
+
+    def _serve(
+        self, queries: np.ndarray, options: QueryOptions, radius: "Optional[float]"
+    ) -> BatchResult:
+        """Pin a view, run the batch on it, record its accounting."""
         if self.database.data is None:
             raise RuntimeError("ingest data before searching")
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2:
-            raise ValueError("knn_batch expects a (Q, n) array of queries")
+            raise ValueError("expected a (Q, n) array of queries")
         # Pin a snapshot so concurrent inserts/deletes never shift the
         # entry list or tree under a batch mid-flight; plain databases
         # (no lifecycle mixin) run unpinned as before.
@@ -84,20 +106,19 @@ class QueryEngine:
         pinned = db is not self.database
         start = time.perf_counter()
         try:
-            with obs.span("engine.knn_batch"):
-                results, timed_out, rounds, used_workers = self._dispatch(
-                    db, queries, options
-                )
-                for result in results:
-                    record_search(result, db.suite.mode)
-                if obs.is_enabled():
-                    obs.count("engine.batches")
-                    obs.count("engine.rounds", rounds)
-                    obs.count("engine.pairs_verified", sum(r.n_verified for r in results))
-                    obs.observe("engine.batch_size", len(queries))
-                    obs.gauge_set("engine.parallelism", used_workers)
-                    if timed_out:
-                        obs.count("engine.timeouts", len(timed_out))
+            results, timed_out, rounds, used_workers = self._dispatch(
+                db, queries, options, radius
+            )
+            for result in results:
+                record_search(result, db.suite.mode)
+            if obs.is_enabled():
+                obs.count("engine.batches")
+                obs.count("engine.rounds", rounds)
+                obs.count("engine.pairs_verified", sum(r.n_verified for r in results))
+                obs.observe("engine.batch_size", len(queries))
+                obs.gauge_set("engine.parallelism", used_workers)
+                if timed_out:
+                    obs.count("engine.timeouts", len(timed_out))
             return BatchResult(
                 results=results,
                 timed_out=sorted(timed_out),
@@ -111,7 +132,7 @@ class QueryEngine:
                 db.release()
 
     # ------------------------------------------------------------------
-    def _dispatch(self, db, queries: np.ndarray, options: QueryOptions):
+    def _dispatch(self, db, queries: np.ndarray, options: QueryOptions, radius):
         """Choose and run an execution strategy over the pinned view ``db``;
         returns ``(results, timed_out, rounds, workers_used)``."""
         if options.parallelism > 1 and options.mode is not ExecutionMode.SEQUENTIAL:
@@ -121,10 +142,14 @@ class QueryEngine:
                 return results, timed_out, rounds, workers
         if options.mode is ExecutionMode.SEQUENTIAL:
             return self._run_sequential(db, queries, options) + (1,)
-        return self._run_vectorized(db, queries, options) + (1,)
+        return self._run_vectorized(db, queries, options, radius) + (1,)
 
-    def _run_vectorized(self, db, queries: np.ndarray, options: QueryOptions):
-        """All queries advance in lockstep; one distance call per round."""
+    def _run_vectorized(self, db, queries: np.ndarray, options: QueryOptions, radius):
+        """All queries advance in lockstep; one distance call per round.
+
+        With a ``radius`` every state collects into a
+        :class:`repro.index.knn.RangeHits` instead of the k-best heap.
+        """
         deadline = _absolute_deadline(options)
         batch_bounds = options.mode is ExecutionMode.VECTORIZED or _auto_batch_bounds(
             db, len(queries)
@@ -137,6 +162,7 @@ class QueryEngine:
                 options.lookahead,
                 use_batch_bounds=batch_bounds,
                 cascade=options.cascade,
+                collector=None if radius is None else RangeHits(radius),
             )
             for query in queries
         ]

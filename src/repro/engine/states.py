@@ -15,11 +15,18 @@ survivors are always verified — the result heap is not full yet, so no
 stop rule can fire between them) and ``lookahead`` (default 1) afterwards,
 which reproduces the classic one-candidate-at-a-time refinement loop and
 its verification counts exactly.
+
+A range query is the same walk with a different result collector
+(:class:`repro.index.knn.RangeHits`: always full, threshold fixed at the
+radius) and :data:`WHOLE_RUN` as ``k``: its threshold never moves, so no
+verified distance can change a later decision and the first advance takes
+every admissible candidate.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import List
 
 import numpy as np
@@ -27,7 +34,10 @@ import numpy as np
 from ..index.knn import KNNResult, TopK, _Frontier
 from ..kinds import IndexKind
 
-__all__ = ["ScanState", "TreeState", "make_state", "gather_rows"]
+__all__ = ["ScanState", "TreeState", "WHOLE_RUN", "make_state", "gather_rows"]
+
+#: the ``k`` of a range walk: a first-advance budget no run can exhaust
+WHOLE_RUN = sys.maxsize
 
 
 def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
@@ -66,13 +76,13 @@ def _query_cascade(db, ctx):
 
 
 class _QueryState:
-    """Common machinery: the result heap, budget schedule and accounting."""
+    """Common machinery: the result collector, budget schedule and accounting."""
 
-    def __init__(self, db, query: np.ndarray, k: int, lookahead: int):
+    def __init__(self, db, query: np.ndarray, k: int, lookahead: int, collector=None):
         self.db = db
         self.query = query
         self.ctx = db.query_context(query)
-        self.topk = TopK(k)
+        self.topk = TopK(k) if collector is None else collector
         self.k = k
         self.lookahead = lookahead
         self.verified = 0
@@ -134,8 +144,9 @@ class ScanState(_QueryState):
         lookahead: int,
         use_batch_bounds: bool,
         cascade: bool = True,
+        collector=None,
     ):
-        super().__init__(db, query, k, lookahead)
+        super().__init__(db, query, k, lookahead, collector)
         self._lazy = None
         self._qc = None
         batch = _batch_bounds(db, self.ctx) if use_batch_bounds else None
@@ -249,8 +260,9 @@ class TreeState(_QueryState):
         lookahead: int,
         use_batch_bounds: bool,
         cascade: bool = True,
+        collector=None,
     ):
-        super().__init__(db, query, k, lookahead)
+        super().__init__(db, query, k, lookahead, collector)
         self.frontier = _Frontier()
         self.visited = 0
         #: exact entry bounds indexed by series id (a plain list: the walk
@@ -338,8 +350,13 @@ def make_state(
     lookahead: int,
     use_batch_bounds: bool,
     cascade: bool = True,
+    collector=None,
 ):
-    """The right state machine for ``db``'s index configuration."""
-    if db.tree is None:
-        return ScanState(db, query, k, lookahead, use_batch_bounds, cascade)
-    return TreeState(db, query, k, lookahead, use_batch_bounds, cascade)
+    """The right state machine for ``db``'s index configuration.
+
+    ``collector`` replaces the k-best heap as the walk's result set; a
+    range walk passes :class:`repro.index.knn.RangeHits` with
+    ``k=WHOLE_RUN``.
+    """
+    state = ScanState if db.tree is None else TreeState
+    return state(db, query, k, lookahead, use_batch_bounds, cascade, collector)

@@ -8,12 +8,14 @@ is the paper's pruning power (Eq. (14)); comparing returned neighbours with
 a linear scan gives the accuracy (Eq. (15)).
 
 Query execution itself lives in :mod:`repro.engine`; :meth:`SeriesDatabase.knn`
-is a thin single-query wrapper over :meth:`repro.engine.QueryEngine.knn_batch`,
-so sequential and batched answers are identical by construction.  This module
-keeps the shared building blocks: the :class:`_Frontier` priority queue, the
-:class:`TopK` result heap whose ``(distance, series id)`` tie-break makes the
-tree search agree with :func:`linear_scan` on equal distances, and the
-:func:`record_search` accounting shared by every execution path.
+and :meth:`SeriesDatabase.range_query` are thin single-query wrappers over
+:meth:`repro.engine.QueryEngine.knn_batch` / ``range_batch``, so sequential and
+batched answers are identical by construction.  This module keeps the shared
+building blocks: the :class:`_Frontier` priority queue, the result collectors
+— the :class:`TopK` heap whose ``(distance, series id)`` tie-break makes the
+tree search agree with :func:`linear_scan` on equal distances, and
+:class:`RangeHits` for a fixed radius — and the :func:`record_search`
+accounting shared by every execution path.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ import numpy as np
 
 from .. import obs
 from ..distance.columnar import grown
-from ..distance.euclidean import euclidean
 from ..distance.suite import ADAPTIVE_METHODS, QueryContext, make_suite
 from ..kinds import DistanceMode, IndexKind, coerce_index_kind
 from ..lifecycle.snapshot import MutableDatabase
-from ..reduction.base import Reducer
+from ..reduction.base import Reducer, reduce_rows
 from .bulk import bulk_load_dbch, bulk_load_rtree
 from .dbch import DBCHTree
 from .entries import Entry
 from .mbr import feature_vector, feature_weights
+from .rows import MemoryRows
 from .rtree import RTree
 
-__all__ = ["KNNResult", "SeriesDatabase", "TopK", "linear_scan", "record_search"]
+__all__ = ["KNNResult", "RangeHits", "SeriesDatabase", "TopK", "linear_scan", "record_search"]
 
 _INF = float("inf")
 
@@ -138,9 +140,36 @@ class TopK:
         return sorted((-neg_d, -neg_sid) for neg_d, neg_sid in self._heap)
 
 
+class RangeHits:
+    """The result collector of a range walk: :class:`TopK`'s interface at a
+    fixed radius.
+
+    Always "full" with ``threshold == radius``, so the state machines stop
+    (or skip) exactly where a bound strictly exceeds the radius, and every
+    verified ``distance <= radius`` is kept.
+    """
+
+    __slots__ = ("threshold", "_hits")
+
+    full = True
+
+    def __init__(self, radius: float):
+        self.threshold = radius
+        self._hits: "list[tuple[float, int]]" = []
+
+    def offer(self, distance: float, series_id: int) -> None:
+        """Consider one verified candidate."""
+        if distance <= self.threshold:
+            self._hits.append((distance, series_id))
+
+    def ranked(self) -> "list[tuple[float, int]]":
+        """Every hit as ``(distance, series_id)``, nearest first."""
+        return sorted(self._hits)
+
+
 @dataclass
 class KNNResult:
-    """k-NN outcome plus the accounting the paper's figures need."""
+    """Search outcome (k-NN or range) plus the accounting the paper's figures need."""
 
     ids: "List[int]"
     distances: "List[float]"
@@ -242,6 +271,11 @@ class SeriesDatabase(MutableDatabase):
     may interleave with serving, ``snapshot()``/``freeze()`` pin a stable
     read view (see :class:`repro.lifecycle.MutableDatabase`), and attaching
     a :class:`repro.lifecycle.WriteAheadLog` makes mutations durable.
+
+    This is the one database class.  Where the raw rows live is the only
+    thing that differs by kind, and it sits behind a row store (see
+    :mod:`repro.index.rows`): an in-memory buffer here, pages on disk for
+    :class:`repro.storage.DiskBackedDatabase`.
     """
 
     def __init__(
@@ -257,7 +291,7 @@ class SeriesDatabase(MutableDatabase):
         self.suite = make_suite(reducer, distance_mode)
         self.max_entries = max_entries
         self.min_entries = min_entries
-        self.data: Optional[np.ndarray] = None
+        self._rows = MemoryRows()
         self.entries: "List[Entry]" = []
         self.tree = None
         self._weights: Optional[np.ndarray] = None
@@ -266,18 +300,23 @@ class SeriesDatabase(MutableDatabase):
         #: by inserts, dropped (and rebuilt on next use) by deletes.
         self._rep_cache = None
         self._engine = None
-        #: amortised-doubling row buffer; ``data`` is always ``_buf[:_count]``
-        #: when the raw rows live in memory (disk-backed views set it None).
-        self._buf: Optional[np.ndarray] = None
-        self._count = 0
         self._live_ids: "set[int]" = set()
         #: lazily-built BoundCascade (suite/reducer are immutable, so it
         #: lives for the database's lifetime; its per-collection cache keys
         #: on the generation counter and self-invalidates on mutation).
         self._cascade = None
-        #: ``(data_ref, ColumnBlockStore)`` packed-block cache; see columns()
-        self._columns = None
         self._init_lifecycle()
+
+    @property
+    def data(self):
+        """The raw rows as readers see them — an ``(count, n)`` array or a
+        paged row view — or ``None`` before the first row lands."""
+        return self._rows.view
+
+    @property
+    def _count(self) -> int:
+        """Rows ever stored, tombstones included: the next series id."""
+        return len(self._rows)
 
     # ------------------------------------------------------------------
     def ingest(
@@ -315,50 +354,26 @@ class SeriesDatabase(MutableDatabase):
                 else "one representation per live series is required"
             )
         with obs.span("db.ingest"):
-            budget = getattr(self.reducer, "n_segments", None)
             if representations is None:
-                representations = self._reduce_rows(
-                    data if live_ids is None else data[np.array(ids, dtype=int)]
+                representations = reduce_rows(
+                    self.reducer, data if live_ids is None else data[np.array(ids, dtype=int)]
                 )
-            entries = [
-                Entry(
-                    series_id=series_id,
-                    representation=representation,
-                    feature=feature_vector(representation, budget),
-                )
-                for series_id, representation in zip(ids, representations)
-            ]
-            self._install(data, entries, bulk)
+            entries = list(map(self._entry, ids, representations))
+            self._rows.adopt(data)
+            self._install(entries, bulk)
 
-    def _reduce_rows(self, rows: np.ndarray) -> "List":
-        """Reduce a ``(count, n)`` matrix through the batch protocol.
+    def _entry(self, series_id: int, representation) -> Entry:
+        budget = getattr(self.reducer, "n_segments", None)
+        return Entry(series_id, representation, feature_vector(representation, budget))
 
-        Rows are bit-identical to per-row ``transform`` calls (the
-        ``transform_batch`` contract); reducers outside the protocol fall
-        back to the per-row loop.
+    def _install(self, entries: "List[Entry]", bulk: bool = False) -> None:
+        """Adopt ``entries`` over the rows already in the row store and
+        (re)build the index.  Shared by ``ingest`` (and through it
+        compaction) and the disk-backed reopen path.
         """
-        from ..reduction.base import reduce_rows
-
-        return reduce_rows(self.reducer, rows)
-
-    def _install(self, data, entries: "List[Entry]", bulk: bool = False) -> None:
-        """Adopt ``data`` + ``entries`` wholesale and (re)build the index.
-
-        ``data`` is either an in-memory ``(count, n)`` array or an
-        array-like row view over a paged store.  Shared by ``ingest``, the
-        disk-backed reopen path and compaction.
-        """
-        self.data = data
-        if isinstance(data, np.ndarray):
-            self._buf = data
-            self._count = int(data.shape[0])
-        else:
-            self._buf = None
-            self._count = len(data)
         self.entries = entries
         self._live_ids = {e.series_id for e in entries}
         self._rep_cache = None
-        self._columns = None
         with self._mutate_lock:
             self._pending = []
             self._generation += 1
@@ -423,6 +438,25 @@ class SeriesDatabase(MutableDatabase):
         """Answer many queries at once — see :meth:`repro.engine.QueryEngine.knn_batch`."""
         return self.engine().knn_batch(queries, options)
 
+    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
+        """All series within Euclidean ``radius`` of ``query`` (filter-and-refine).
+
+        A thin wrapper over :meth:`range_batch` with a batch of one — the
+        same state-machine walk as :meth:`knn` with the radius where k-NN
+        has the k-th best distance, so subtrees and candidates whose bound
+        exceeds ``radius`` are never expanded or verified and the accounting
+        (nodes visited, heap pushes, candidates) feeds the same pruning
+        statistics.  With a guaranteed lower bound (``DistanceMode.LB`` for
+        adaptive methods, or any equal-length method) the result is exact.
+        """
+        query = np.asarray(query, dtype=float)
+        return self.range_batch(query[None, :], radius).results[0]
+
+    def range_batch(self, queries: np.ndarray, radius: float):
+        """Radius queries at one shared ``radius`` — see
+        :meth:`repro.engine.QueryEngine.range_batch`."""
+        return self.engine().range_batch(queries, radius)
+
     def engine(self):
         """The database's lazily-built :class:`repro.engine.QueryEngine`."""
         if self._engine is None:
@@ -445,32 +479,16 @@ class SeriesDatabase(MutableDatabase):
 
     def columns(self):
         """A packed :class:`~repro.storage.columns.ColumnBlockStore` over the
-        raw rows, or ``None`` when unavailable.
-
-        In-memory rows get a float32 filter cache (rebuilt whenever the row
-        view object changes, i.e. after appends or reinstall); disk-backed
-        views delegate to the store's float64 memmap block.
+        raw rows, or ``None`` when unavailable: a float32 filter cache for
+        in-memory rows, the store's float64 memmap block for paged ones.
         """
-        data = self.data
-        if data is None:
-            return None
-        if isinstance(data, np.ndarray):
-            cached = self._columns
-            if cached is not None and cached[0] is data:
-                return cached[1]
-            from ..storage.columns import ColumnBlockStore
-
-            block = ColumnBlockStore.from_array(data)
-            self._columns = (data, block)
-            return block
-        cols = getattr(data, "columns", None)
-        return cols() if cols is not None else None
+        return None if self.data is None else self._rows.columns()
 
     def save(self, directory) -> None:
         """Persist this fitted database as a directory (see :mod:`repro.io`)."""
-        from ..io.database import save_series_database
+        from ..io.database import write_database
 
-        save_series_database(self, directory)
+        write_database(self, directory)
 
     def stacked_entries(self):
         """``(series_ids, stacked)`` for the suite's vectorised bound, or ``None``.
@@ -479,10 +497,10 @@ class SeriesDatabase(MutableDatabase):
         columnar layout of every entry's representation, row ``i`` belonging
         to ``series_ids[i]`` (ascending, in entry order).  It is built when
         the entry set is installed, grown in place by each insert and
-        rebuilt here after a delete; snapshots, the disk-backed wrapper and
-        shards all read this one store.  ``None`` when the method has no
-        stacked layout (``DistanceMode.AE``, CHEBY, SAX), there are no
-        entries, or the stored layouts cannot be stacked.
+        rebuilt here after a delete; snapshots and shards all read this one
+        store.  ``None`` when the method has no stacked layout
+        (``DistanceMode.AE``, CHEBY, SAX), there are no entries, or the
+        stored layouts cannot be stacked.
         """
         if self.suite.stack is None or not self.entries:
             return None
@@ -498,24 +516,24 @@ class SeriesDatabase(MutableDatabase):
         return sids[: len(stacked)], stacked
 
     def ground_truth(self, query: np.ndarray, k: int) -> KNNResult:
-        """Exact k-NN by linear scan over the ingested raw data."""
+        """Exact k-NN by linear scan over the raw rows (indexed by id).
+
+        Paged rows stream through in blocks — the whole collection is
+        charged as physical I/O but never materialised as one matrix.
+        Tombstoned rows are still read (they share pages with live ones)
+        but never returned: with no deletes the scan runs at exactly ``k``
+        (fast path); under churn the over-fetch is capped at the tombstone
+        count, so the scan never requests more than
+        ``min(k + tombstones, rows)`` neighbours.
+        """
         if self.data is None:
             raise RuntimeError("ingest data before searching")
-        return self._ground_truth_from(self.data, query, k)
-
-    def _ground_truth_from(self, data, query: np.ndarray, k: int) -> KNNResult:
-        """Tombstone-aware exact scan over ``data`` (rows indexed by id).
-
-        With no deletes the scan runs at exactly ``k`` (fast path); under
-        churn the over-fetch is capped at the tombstone count, so the scan
-        never requests more than ``min(k + tombstones, rows)`` neighbours.
-        """
         tombstones = self._count - len(self._live_ids)
         with obs.span("knn.ground_truth"):
             if tombstones == 0:
-                return linear_scan(data, query, k)
+                return linear_scan(self.data, query, k)
             overfetch = min(k + tombstones, self._count)
-            result = linear_scan(data, query, overfetch)
+            result = linear_scan(self.data, query, overfetch)
         kept = [
             (i, d) for i, d in zip(result.ids, result.distances) if i in self._live_ids
         ][:k]
@@ -532,35 +550,14 @@ class SeriesDatabase(MutableDatabase):
 
         Ids are append-only: a new series always gets the next row id even
         after deletions, so existing ids stay stable (until an explicit
-        :func:`repro.lifecycle.compact` re-packs them).  Appends land in an
-        amortised-doubling row buffer, so a stream of N inserts costs
-        O(N·n) instead of the O(N²·n) of re-stacking the matrix each call.
-        With a WAL attached the record is logged (and fsynced per policy)
-        before any state changes.
+        :func:`repro.lifecycle.compact` re-packs them).  With a WAL attached
+        the record is logged (and fsynced per policy) before any state
+        changes; then the raw row lands in the row store, then the index.
         """
         series = np.asarray(series, dtype=float)
-        if self.data is None:
-            if series.ndim != 1:
-                raise ValueError("insert expects a single series (1-D array)")
-            if self._wal is not None:
-                self._wal.append_insert(0, series)
-            self.ingest(series[None, :])
-            return 0
-        if not isinstance(self.data, np.ndarray):
-            raise RuntimeError(
-                "raw rows live behind a paged store; insert through the owning "
-                "DiskBackedDatabase"
-            )
-        if series.ndim != 1 or series.shape[0] != self.data.shape[1]:
-            raise ValueError(
-                f"series length {series.shape} does not match stored {self.data.shape[1]}"
-            )
-        series_id = self._count
-        if self._wal is not None:
-            self._wal.append_insert(series_id, series)
-        self._append_row(series)
-        self._register(series_id, series)
-        return series_id
+        if series.ndim != 1:
+            raise ValueError("insert expects a single series (1-D array)")
+        return self.insert_batch(series[None, :])[0]
 
     def insert_batch(self, data: np.ndarray) -> "List[int]":
         """Append many series in one batched reduction; returns their ids.
@@ -577,19 +574,7 @@ class SeriesDatabase(MutableDatabase):
             raise ValueError("insert_batch expects a (count, n) array of series")
         if matrix.shape[0] == 0:
             return []
-        if self.data is None:
-            ids = list(range(matrix.shape[0]))
-            if self._wal is not None:
-                for series_id, row in zip(ids, matrix):
-                    self._wal.append_insert(series_id, row)
-            self.ingest(matrix)
-            return ids
-        if not isinstance(self.data, np.ndarray):
-            raise RuntimeError(
-                "raw rows live behind a paged store; insert through the owning "
-                "DiskBackedDatabase"
-            )
-        if matrix.shape[1] != self.data.shape[1]:
+        if self.data is not None and matrix.shape[1] != self.data.shape[1]:
             raise ValueError(
                 f"series length {matrix.shape[1]} does not match stored {self.data.shape[1]}"
             )
@@ -597,55 +582,29 @@ class SeriesDatabase(MutableDatabase):
         if self._wal is not None:
             for series_id, row in zip(ids, matrix):
                 self._wal.append_insert(series_id, row)
-        for row in matrix:
-            self._append_row(row)
-        self._register_batch(ids, matrix)
+        if self.data is None:
+            self.ingest(matrix)
+        else:
+            self._land(ids, matrix)
         return ids
 
-    def _append_row(self, series: np.ndarray) -> None:
-        """Append one raw row to the capacity-doubling buffer.
+    def _land(self, series_ids: "List[int]", rows: np.ndarray) -> None:
+        """Put already-logged rows into the row store and stage their entries.
 
-        Existing snapshots keep views into the old buffer, so growing never
-        moves rows out from under a pinned reader.
+        One row keeps the scalar ``transform`` (what a streaming insert
+        pays); a longer run reduces in one batch pass — bit-identical
+        entries either way.
         """
-        if self._buf is None or self._count == self._buf.shape[0]:
-            capacity = max(4, 2 * self._count)
-            grown = np.empty((capacity, series.shape[0]), dtype=float)
-            if self._count:
-                grown[: self._count] = np.asarray(self.data)
-            self._buf = grown
-        self._buf[self._count] = series
-        self._count += 1
-        self.data = self._buf[: self._count]
-
-    def _register(self, series_id: int, series: np.ndarray) -> None:
-        """Transform ``series`` and make its entry (eventually) visible."""
-        representation = self.reducer.transform(series)
-        budget = getattr(self.reducer, "n_segments", None)
-        entry = Entry(
-            series_id=series_id,
-            representation=representation,
-            feature=feature_vector(representation, budget),
-        )
-        self._count = max(self._count, series_id + 1)
-        self._live_ids.add(series_id)
-        obs.count("db.inserts")
-        self._stage("insert", entry)
-
-    def _register_batch(self, series_ids: "List[int]", rows: np.ndarray) -> None:
-        """Batched :meth:`_register`: one reduction pass, entries staged in order."""
-        representations = self._reduce_rows(np.asarray(rows, dtype=float))
-        budget = getattr(self.reducer, "n_segments", None)
+        for series_id, row in zip(series_ids, rows):
+            self._rows.put(series_id, row)
+        if len(rows) == 1:
+            representations = [self.reducer.transform(rows[0])]
+        else:
+            representations = reduce_rows(self.reducer, rows)
         for series_id, representation in zip(series_ids, representations):
-            entry = Entry(
-                series_id=series_id,
-                representation=representation,
-                feature=feature_vector(representation, budget),
-            )
-            self._count = max(self._count, series_id + 1)
             self._live_ids.add(series_id)
             obs.count("db.inserts")
-            self._stage("insert", entry)
+            self._stage("insert", self._entry(series_id, representation))
 
     def delete(self, series_id: int) -> bool:
         """Remove one series from the database and its index.
@@ -659,15 +618,7 @@ class SeriesDatabase(MutableDatabase):
             return False
         if self._wal is not None:
             self._wal.append_delete(series_id)
-        return self._delete_unlogged(series_id)
-
-    def _delete_unlogged(self, series_id: int) -> bool:
-        if series_id not in self._live_ids:
-            return False
-        self._live_ids.discard(series_id)
-        obs.count("db.deletes")
-        self._stage("delete", series_id)
-        return True
+        return self._replay_delete(series_id)
 
     # -- lifecycle hooks ------------------------------------------------
     def _apply_op(self, op: str, payload) -> None:
@@ -689,164 +640,38 @@ class SeriesDatabase(MutableDatabase):
             self._rep_cache = None
         self._generation += 1
 
-    def _replay_insert(self, series_id: int, series: np.ndarray) -> None:
-        """Recovery hook: re-apply one WAL insert without re-logging it."""
-        from ..lifecycle.recovery import RecoveryError
-
-        series = np.asarray(series, dtype=float)
-        if self.data is None:
-            if series_id != 0:
-                raise RecoveryError(
-                    f"WAL insert for id {series_id} into an empty database"
-                )
-            self.ingest(series[None, :])
-            return
-        if series_id != self._count:
-            raise RecoveryError(
-                f"WAL insert for id {series_id} but the next row id is {self._count}"
-            )
-        self._append_row(series)
-        self._register(series_id, series)
-
     def _replay_insert_batch(self, records: "List[tuple]") -> None:
-        """Recovery hook: re-apply a run of consecutive WAL inserts.
+        """Recovery hook: re-apply a run of consecutive WAL inserts unlogged.
 
-        Validates the same invariants as per-record :meth:`_replay_insert`
-        (a violation is fatal to recovery either way), appends every row,
-        then reduces the whole run in one batch pass.
+        The whole run is validated against the row store before anything
+        changes (a violation is fatal to recovery): memory rows must
+        continue the id sequence exactly, paged rows may also be rewritten
+        in place, which heals torn page writes.  Then every row lands and
+        the run reduces in one batch pass.
         """
         from ..lifecycle.recovery import RecoveryError
 
         pending = [(int(sid), np.asarray(series, dtype=float)) for sid, series in records]
-        if not pending:
-            return
-        if self.data is None:
-            series_id, series = pending[0]
-            if series_id != 0:
-                raise RecoveryError(
-                    f"WAL insert for id {series_id} into an empty database"
-                )
-            self.ingest(series[None, :])
-            pending = pending[1:]
-            if not pending:
-                return
-        expected = self._count
+        rows = len(self._rows)
         for series_id, _ in pending:
-            if series_id != expected:
+            if not self._rows.accepts(series_id, rows):
                 raise RecoveryError(
-                    f"WAL insert for id {series_id} but the next row id is {expected}"
+                    f"WAL insert for id {series_id} but the row store holds {rows} rows"
                 )
-            expected += 1
-        for _, series in pending:
-            self._append_row(series)
-        self._register_batch([sid for sid, _ in pending], np.vstack([s for _, s in pending]))
+            rows = max(rows, series_id + 1)
+        if pending and self.data is None:
+            self.ingest(pending.pop(0)[1][None, :])
+        if pending:
+            self._land([sid for sid, _ in pending], np.vstack([s for _, s in pending]))
 
     def _replay_delete(self, series_id: int) -> bool:
-        """Recovery hook: re-apply one WAL delete (idempotent)."""
-        return self._delete_unlogged(series_id)
-
-    # ------------------------------------------------------------------
-    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
-        """All series within Euclidean ``radius`` of ``query`` (filter-and-refine).
-
-        Candidates whose representation bound exceeds ``radius`` are pruned;
-        survivors are verified on raw data.  With a tree index the search
-        runs through the same best-first frontier as :meth:`knn` — whole
-        subtrees whose node distance exceeds ``radius`` are never expanded,
-        and the accounting (nodes visited, heap pushes, candidates) feeds
-        the same pruning statistics.  With a guaranteed lower bound
-        (``DistanceMode.LB`` for adaptive methods, or any equal-length
-        method) the result is exact.
-
-        When the method has a :class:`repro.distance.BoundCascade` tier the
-        search evaluates the cheap dominated bound first and only refines
-        to the exact bound on demand; dominated keys plus tick-preserving
-        reinsertion keep the hits, the verified set and every counter
-        identical to the single-bound search (see :mod:`repro.distance.cascade`).
-        """
-        if self.data is None:
-            raise RuntimeError("ingest data before searching")
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        query = np.asarray(query, dtype=float)
-        ctx = self.query_context(query)
-        qc = self.cascade().for_query(ctx)
-        hits: "List[tuple[float, int]]" = []
-        verified = 0
-        nodes_visited = 0
-        if self.tree is None:
-            node_pushes = heap_pushes = 0
-            n_candidates = len(self.entries)
-            for entry in self.entries:
-                if qc is not None:
-                    if qc.cheap(entry.representation) > radius:
-                        continue  # cheap key ≤ exact bound, so the exact bound prunes too
-                    if qc.refine(entry.representation) > radius:
-                        continue
-                elif self.suite.query_bound(ctx, entry.representation) > radius:
-                    continue
-                true = euclidean(query, self.data[entry.series_id])
-                verified += 1
-                if true <= radius:
-                    hits.append((true, entry.series_id))
-        else:
-            use_node_tier = qc is not None and self.index_kind == IndexKind.DBCH
-            exact_nodes = self.node_bounds_exact
-            frontier = _Frontier()
-            frontier.push_node(self.node_distance(ctx, self.tree.root), self.tree.root)
-            while frontier:
-                key, tick, kind, payload = frontier.pop()
-                if key > radius:
-                    if exact_nodes:
-                        break  # best-first: everything still queued is further out
-                    if kind in ("entry", "uentry"):
-                        continue  # entry bounds stay exact; node keys are hints
-                if kind == "uentry":
-                    frontier.reinsert(qc.refine(payload.representation), tick, "entry", payload)
-                    continue
-                if kind == "unode":
-                    qc.n_node_refine += 1
-                    frontier.reinsert(self.node_distance(ctx, payload), tick, "node", payload)
-                    continue
-                if kind == "entry":
-                    true = euclidean(query, self.data[payload.series_id])
-                    verified += 1
-                    if true <= radius:
-                        hits.append((true, payload.series_id))
-                    continue
-                nodes_visited += 1
-                if payload.is_leaf:
-                    for entry in payload.entries:
-                        if qc is not None:
-                            frontier.push_entry(
-                                qc.cheap(entry.representation), entry, refined=False
-                            )
-                        else:
-                            frontier.push_entry(
-                                self.suite.query_bound(ctx, entry.representation), entry
-                            )
-                else:
-                    for child in payload.children:
-                        if use_node_tier:
-                            frontier.push_node(qc.node_lower(child), child, refined=False)
-                        else:
-                            frontier.push_node(self.node_distance(ctx, child), child)
-            n_candidates = frontier.entry_pushes
-            node_pushes = frontier.node_pushes
-            heap_pushes = frontier.pushes
-        if qc is not None:
-            qc.flush()
-        hits.sort()
-        return KNNResult(
-            ids=[sid for _, sid in hits],
-            distances=[d for d, _ in hits],
-            n_verified=verified,
-            n_total=len(self.entries),
-            nodes_visited=nodes_visited,
-            n_candidates=n_candidates,
-            node_pushes=node_pushes,
-            heap_pushes=heap_pushes,
-        )
+        """Recovery hook: apply one delete without logging it (idempotent)."""
+        if series_id not in self._live_ids:
+            return False
+        self._live_ids.discard(series_id)
+        obs.count("db.deletes")
+        self._stage("delete", series_id)
+        return True
 
     # ------------------------------------------------------------------
     def query_context(self, query: np.ndarray) -> QueryContext:

@@ -1,51 +1,50 @@
 """Persistence for whole similarity databases.
 
-One documented surface for both database flavours: ``database.save(path)``
-persists a fitted :class:`repro.index.SeriesDatabase` *or*
-:class:`repro.storage.DiskBackedDatabase` as a directory, and
-:func:`open_database` reopens either — the directory's ``config.json``
-records which flavour (``kind``) it holds.  An in-memory database stores its
-raw data as ``data.npz``; a disk-backed database keeps its paged store file
-next to the config instead.  Both store the representations as
-``representations.json`` so loading re-indexes without re-reducing (tree
-structures rebuild deterministically and cheaply relative to the reduction
-pass they skip).
-
-The pre-engine entry points :func:`save_database` / :func:`load_database`
-remain as thin deprecated aliases.
+One documented surface: ``database.save(path)`` persists a fitted
+:class:`repro.index.SeriesDatabase` as a directory, and :func:`open_database`
+reopens it — the directory's ``config.json`` records which row store
+(``kind``) it holds.  A ``memory`` database stores its raw data as
+``data.npz``; a ``disk`` one (:class:`repro.storage.DiskBackedDatabase`)
+keeps its paged store file next to the config instead.  Both store the
+representations as ``representations.json`` so loading re-indexes without
+re-reducing (tree structures rebuild deterministically and cheaply relative
+to the reduction pass they skip).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import shutil
 from typing import Union
 
 import numpy as np
 
-from .._deprecations import warn_once
 from ..index.knn import SeriesDatabase
-from ..kinds import DistanceMode, IndexKind
+from ..kinds import IndexKind, suite_distance_mode
 from ..reduction import REDUCERS
+from ..storage.database import STORE_FILENAME, DiskBackedDatabase
 from .serialization import from_jsonable, to_jsonable
 
-__all__ = ["open_database", "save_database", "load_database"]
+__all__ = ["open_database"]
 
 PathLike = Union[str, pathlib.Path]
 
-#: filename of the paged store inside a disk-backed database directory
-STORE_FILENAME = "series.bin"
 
+def write_database(database: SeriesDatabase, directory: PathLike) -> None:
+    """Persist a fitted database: raw rows + representations + config.
 
-def _write_common(database, directory: pathlib.Path, config: dict) -> None:
-    """Write the representations and config shared by both flavours.
-
-    Entries are sorted by id and only *live* series are saved; the config
-    records the total row count (tombstones included) and, when the two
-    disagree, the surviving ids — so a save after deletes reopens with the
-    same logical contents.
+    The method form ``database.save(directory)`` is the public entry point.
+    The row store writes its rows (``data.npz``, or a copy of the page
+    file); the rest is the same for both kinds.  Entries are sorted by id
+    and only *live* series are saved; the config records the total row
+    count (tombstones included) and, when the two disagree, the surviving
+    ids — so a save after deletes reopens with the same logical contents.
     """
+    if database.data is None:
+        raise ValueError("cannot save a database before ingest")
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    config = database._rows.persist(directory)
     entries = sorted(database.entries, key=lambda e: e.series_id)
     payload = {"representations": [to_jsonable(e.representation) for e in entries]}
     (directory / "representations.json").write_text(json.dumps(payload))
@@ -64,44 +63,6 @@ def _write_common(database, directory: pathlib.Path, config: dict) -> None:
     if len(entries) != row_count:
         config["live_ids"] = [e.series_id for e in entries]
     (directory / "config.json").write_text(json.dumps(config, indent=2))
-
-
-def save_series_database(database: SeriesDatabase, directory: PathLike) -> None:
-    """Persist a fitted in-memory database (raw data + representations + config).
-
-    Prefer the method form ``database.save(directory)``.
-    """
-    if database.data is None:
-        raise ValueError("cannot save a database before ingest")
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(directory / "data.npz", data=np.asarray(database.data))
-    _write_common(database, directory, {"kind": "memory"})
-    database._home = directory
-
-
-def save_disk_database(database, directory: PathLike) -> None:
-    """Persist a fitted :class:`repro.storage.DiskBackedDatabase` directory.
-
-    The paged store file is copied in as ``series.bin``; raw series keep
-    living on pages after a reopen.  Prefer ``database.save(directory)``.
-    """
-    if database.store is None:
-        raise ValueError("cannot save a database before ingest")
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    store_path = directory / STORE_FILENAME
-    if store_path.resolve() != database.store.path.resolve():
-        shutil.copyfile(database.store.path, store_path)
-    _write_common(
-        database._inner,
-        directory,
-        {
-            "kind": "disk",
-            "page_size": database.store.page_size,
-            "cache_pages": database.store.cache_pages,
-        },
-    )
     database._home = directory
 
 
@@ -126,18 +87,12 @@ def open_database(directory: PathLike, durability=None):
     reducer = REDUCERS[config["reducer"]](n_coefficients=config["n_coefficients"])
     raw_index = config.get("index")
     index = None if raw_index is None else IndexKind(raw_index)
-    raw_mode = config.get("distance_mode")
-    try:
-        mode = DistanceMode(raw_mode)
-    except ValueError:
-        mode = DistanceMode.PAR  # non-adaptive suites store 'aligned' etc.
+    mode = suite_distance_mode(config.get("distance_mode"))
     payload = json.loads((directory / "representations.json").read_text())
     representations = [from_jsonable(item) for item in payload["representations"]]
     live_ids = config.get("live_ids")
     row_count = config.get("row_count")
     if config.get("kind", "memory") == "disk":
-        from ..storage.database import DiskBackedDatabase
-
         database = DiskBackedDatabase(
             reducer,
             directory / STORE_FILENAME,
@@ -146,7 +101,7 @@ def open_database(directory: PathLike, durability=None):
             page_size=config["page_size"],
             cache_pages=config["cache_pages"],
         )
-        database.reopen(representations, live_ids=live_ids, row_count=row_count)
+        database.reopen(representations, live_ids=live_ids)
         base_count = row_count if row_count is not None else len(representations)
     else:
         database = SeriesDatabase(
@@ -174,31 +129,3 @@ def open_database(directory: PathLike, durability=None):
             WriteAheadLog.open(wal_path, durability or DurabilityOptions())
         )
     return database
-
-
-def save_database(database: SeriesDatabase, directory: PathLike) -> None:
-    """Deprecated alias — use ``database.save(directory)``.
-
-    Warns once per process (see :mod:`repro._deprecations`).
-    """
-    warn_once(
-        "save_database",
-        "save_database is deprecated; use database.save(directory)",
-    )
-    database.save(directory)
-
-
-def load_database(directory: PathLike) -> SeriesDatabase:
-    """Deprecated alias — use :func:`repro.client.connect` or :func:`open_database`.
-
-    Routes through the :mod:`repro.client` facade (so sharded homes resolve
-    too) and returns the backing database object.  Warns once per process.
-    """
-    from ..client import connect
-
-    warn_once(
-        "load_database",
-        "load_database is deprecated; use repro.client.connect(directory) "
-        "(or repro.io.open_database for engine-level access)",
-    )
-    return connect(directory).database

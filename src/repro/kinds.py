@@ -19,7 +19,13 @@ import warnings
 from enum import Enum
 from typing import Optional, Union
 
-__all__ = ["IndexKind", "DistanceMode", "coerce_index_kind", "coerce_distance_mode"]
+__all__ = [
+    "IndexKind",
+    "DistanceMode",
+    "coerce_index_kind",
+    "coerce_distance_mode",
+    "suite_distance_mode",
+]
 
 
 class IndexKind(str, Enum):
@@ -108,3 +114,16 @@ def coerce_distance_mode(value: "Union[DistanceMode, str]") -> DistanceMode:
         )
         return mode
     raise ValueError(f"unknown adaptive distance mode: {value!r}")
+
+
+def suite_distance_mode(reported) -> DistanceMode:
+    """The :class:`DistanceMode` that rebuilds a suite reporting ``reported``.
+
+    A suite's ``mode`` is what gets saved in configs and manifests;
+    non-adaptive suites report ``'aligned'`` etc. and ignore the argument,
+    so anything that is not a ``DistanceMode`` value maps to the default.
+    """
+    try:
+        return DistanceMode(reported)
+    except ValueError:
+        return DistanceMode.PAR

@@ -11,10 +11,10 @@ The two maintenance operations here close that loop:
 * :func:`compact` additionally rewrites the raw rows to drop tombstones,
   renumbering the surviving series to contiguous ids ``0..m-1`` (ids are
   append-only *between* compactions; a compaction is the explicit point
-  where they are re-packed).  The paged store is rewritten through a
-  temporary file and atomically replaced, the index is rebuilt from the
-  surviving representations (no re-reduction), and the report says how many
-  data bytes came back.
+  where they are re-packed).  The row store rewrites the survivors (a paged
+  store through a temporary file that atomically replaces it), the index is
+  rebuilt from the surviving representations (no re-reduction), and the
+  report says how many data bytes came back.
 
 Both refuse to run while snapshots are pinned — the physical state must
 match the logical one before it is persisted.
@@ -22,12 +22,9 @@ match the logical one before it is persisted.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .. import obs
 from .wal import WAL_FILENAME, WriteAheadLog
@@ -69,13 +66,6 @@ class CompactionReport:
         return self.reclaimed_bytes / self.data_bytes_before
 
 
-def _parts(db):
-    """``(inner SeriesDatabase, store or None)`` for either database kind."""
-    inner = getattr(db, "_inner", db)
-    store = getattr(db, "store", None)
-    return inner, store
-
-
 def _resolve_home(db, directory: "Optional[PathLike]") -> pathlib.Path:
     home = directory if directory is not None else getattr(db, "_home", None)
     if home is None:
@@ -105,21 +95,19 @@ def _fold_wal(db, home: pathlib.Path, row_count: int) -> int:
 def checkpoint(db, directory: "Optional[PathLike]" = None) -> CheckpointReport:
     """Persist ``db``'s current state and truncate its write-ahead log.
 
-    Works for both database kinds.  ``directory`` defaults to the directory
+    Works whichever row store the database has.  ``directory`` defaults to the directory
     the database was opened from.
     """
     home = _resolve_home(db, directory)
-    inner, _ = _parts(db)
-    inner._flush_pending()
+    db._flush_pending()
     with obs.span("lifecycle.checkpoint"):
         db.save(home)
-        row_count = inner._count
+        row_count = db._count
         folded = _fold_wal(db, home, row_count)
-    db._home = home
     return CheckpointReport(
         directory=str(home),
         row_count=row_count,
-        live_count=len(inner.entries),
+        live_count=len(db.entries),
         wal_bytes_folded=folded,
     )
 
@@ -133,41 +121,24 @@ def compact(db, directory: "Optional[PathLike]" = None) -> CompactionReport:
     database that was never saved to a directory is compacted in place
     without persisting.
     """
-    inner, store = _parts(db)
-    inner._flush_pending()
-    if not inner.entries:
-        raise ValueError("cannot compact a database with no live series")
-    pairs = sorted((e.series_id, e.representation) for e in inner.entries)
-    live = [sid for sid, _ in pairs]
-    representations = [rep for _, rep in pairs]
-    rows_before = inner._count
-    with obs.span("lifecycle.compact"):
-        if store is not None:
-            row_bytes = store.length * 8
-            data_bytes_before = rows_before * row_bytes
-            rows = np.stack([store.read(sid) for sid in live])
-            tmp = store.path.with_suffix(store.path.suffix + ".compact")
-            from ..storage.pages import PagedSeriesStore
+    from ..engine.states import gather_rows
 
-            PagedSeriesStore.write(
-                tmp, rows, page_size=store.page_size, cache_pages=store.cache_pages
-            )
-            os.replace(tmp, store.path)
-            db.store = PagedSeriesStore.open(
-                store.path, page_size=store.page_size, cache_pages=store.cache_pages
-            )
-            db._reindex(rows, representations)
-        else:
-            row_bytes = inner.data.shape[1] * 8
-            data_bytes_before = rows_before * row_bytes
-            rows = np.asarray(inner.data)[np.asarray(live, dtype=np.intp)].copy()
-            inner.ingest(rows, representations=representations)
+    db._flush_pending()
+    if not db.entries:
+        raise ValueError("cannot compact a database with no live series")
+    pairs = sorted((e.series_id, e.representation) for e in db.entries)
+    live = [sid for sid, _ in pairs]
+    rows_before = db._count
+    row_bytes = db.data.shape[1] * 8
+    data_bytes_before = rows_before * row_bytes
+    with obs.span("lifecycle.compact"):
+        # re-ingesting the survivors has the row store rewrite itself
+        db.ingest(gather_rows(db.data, live), representations=[rep for _, rep in pairs])
         reclaimed = (rows_before - len(live)) * row_bytes
         home = getattr(db, "_home", None) if directory is None else pathlib.Path(directory)
         if home is not None:
             db.save(home)
             _fold_wal(db, pathlib.Path(home), len(live))
-            db._home = pathlib.Path(home)
     if obs.is_enabled():
         obs.count("compaction.runs")
         obs.count("compaction.rows_dropped", rows_before - len(live))

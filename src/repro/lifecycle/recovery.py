@@ -8,9 +8,10 @@ truncation) never corrupts state:
 * insert records whose ``series_id`` precedes the checkpointed row count
   are already folded into the saved state and are skipped;
 * the remaining inserts are re-applied in LSN order — the raw row lands in
-  the data buffer (memory kind) or is rewritten onto its page (disk kind,
-  which also heals torn page writes), and the series is re-transformed
-  through the database's reducer and re-inserted into the DBCH/R-tree;
+  the database's row store (appended to the memory buffer, or rewritten
+  onto its page, which also heals torn page writes), and the series is
+  re-transformed through the database's reducer and re-inserted into the
+  DBCH/R-tree;
 * delete records are best-effort: deleting an id that is already gone is a
   no-op.
 
@@ -58,26 +59,19 @@ def recover_database(db, wal_path: PathLike, base_count: int) -> RecoveryReport:
     """Replay the committed WAL records of ``wal_path`` into ``db``.
 
     Args:
-        db: a freshly reopened database (either kind); must expose the
-            ``_replay_insert`` / ``_replay_delete`` hooks.
+        db: a freshly reopened :class:`repro.index.SeriesDatabase` (its
+            ``_replay_insert_batch`` / ``_replay_delete`` hooks do the work).
         wal_path: the log file (missing/empty is a clean no-op).
         base_count: rows already folded into the saved state the database
             was reopened from — insert records below this id are skipped.
     """
     records, torn_bytes = read_wal(wal_path)
     replayed_inserts = replayed_deletes = skipped = 0
-    replay_batch = getattr(db, "_replay_insert_batch", None)
     pending_inserts: "list[tuple]" = []
 
     def flush_inserts() -> None:
         nonlocal replayed_inserts
-        if not pending_inserts:
-            return
-        if replay_batch is not None:
-            replay_batch(pending_inserts)
-        else:
-            for series_id, series in pending_inserts:
-                db._replay_insert(series_id, series)
+        db._replay_insert_batch(pending_inserts)
         replayed_inserts += len(pending_inserts)
         pending_inserts.clear()
 

@@ -126,13 +126,12 @@ class Snapshot:
 
 
 class MutableDatabase:
-    """Mixin: the shared mutable-serving contract of both database kinds.
+    """Mixin: the mutable-serving contract of :class:`repro.index.SeriesDatabase`.
 
-    Concrete classes (:class:`repro.index.SeriesDatabase`,
-    :class:`repro.storage.DiskBackedDatabase`) provide ``insert`` /
-    ``delete`` and the internal apply hooks; this mixin owns the generation
-    counter, the snapshot pin count and the pending-operation queue that
-    defers index visibility while snapshots are live.
+    The database provides ``insert`` / ``delete`` and the internal apply
+    hook; this mixin owns the generation counter, the snapshot pin count
+    and the pending-operation queue that defers index visibility while
+    snapshots are live.
     """
 
     def _init_lifecycle(self) -> None:

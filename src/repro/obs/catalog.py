@@ -34,7 +34,7 @@ SPAN = "span"
 #: name -> (kind, one-line description); the single source of truth.
 CATALOG: "dict[str, tuple[str, str]]" = {
     # ------------------------------------------------------------------ k-NN
-    "knn.queries": (COUNTER, "k-NN queries answered"),
+    "knn.queries": (COUNTER, "k-NN and range queries answered"),
     "knn.nodes_visited": (COUNTER, "index nodes expanded during best-first search"),
     "knn.nodes_pruned": (COUNTER, "index nodes enqueued but never expanded"),
     "knn.entries_refined": (COUNTER, "leaf entries verified against raw data"),
@@ -47,11 +47,11 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "knn.pruned.mindist": (COUNTER, "candidates pruned by the SAX MINDIST bound"),
     "knn.verified_per_query": (HISTOGRAM, "raw verifications needed by one query"),
     # ------------------------------------------------------------- engine
-    "engine.batches": (COUNTER, "knn_batch invocations"),
+    "engine.batches": (COUNTER, "knn_batch and range_batch invocations"),
     "engine.rounds": (COUNTER, "vectorised verification rounds executed"),
     "engine.pairs_verified": (COUNTER, "(query, candidate) pairs resolved in batched verification"),
     "engine.timeouts": (COUNTER, "queries finalised early by a batch deadline"),
-    "engine.batch_size": (HISTOGRAM, "queries per knn_batch call"),
+    "engine.batch_size": (HISTOGRAM, "queries per knn_batch / range_batch call"),
     "engine.parallelism": (GAUGE, "worker processes used by the last batch"),
     # ----------------------------------------------------------- DBCH-tree
     "dbch.inserts": (COUNTER, "entries inserted into a DBCH-tree"),
@@ -167,6 +167,7 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "db.ingest": (SPAN, "reduce + index every row of a collection"),
     "knn.search": (SPAN, "one filter-and-refine k-NN query"),
     "engine.knn_batch": (SPAN, "one batched k-NN execution"),
+    "engine.range_batch": (SPAN, "one batched range-query execution"),
     "knn.ground_truth": (SPAN, "one exact linear-scan reference query"),
     "reduce.batch": (SPAN, "batch-reduce every row of one matrix"),
     "sapla.transform": (SPAN, "full three-stage SAPLA reduction of one series"),

@@ -120,9 +120,8 @@ class ReproServer:
     """One engine behind one TCP listener — start, serve, stop.
 
     ``engine`` is anything with the engine query surface (``knn_batch`` +
-    ``range_query``): a :class:`repro.index.SeriesDatabase`, a
-    :class:`repro.storage.DiskBackedDatabase`, a
-    :class:`repro.serving.ShardedEngine`, or a pre-built
+    ``range_batch``): a :class:`repro.index.SeriesDatabase` (memory or
+    disk-backed), a :class:`repro.serving.ShardedEngine`, or a pre-built
     :class:`repro.continuous.ContinuousEvaluator` wrapping one of those
     (pass the evaluator to serve a durable subscription registry).  Reads
     never mutate the engine; ``insert``/``delete`` requests do, routed
@@ -361,13 +360,13 @@ class ReproServer:
             }
         if op == "range":
             request = RangeRequest.from_payload(frame)
-            result = await loop.run_in_executor(
-                self._executor, self.engine.range_query, request.query, request.radius
+            batch = await loop.run_in_executor(
+                self._executor,
+                self.engine.range_batch,
+                request.query[None, :],
+                request.radius,
             )
-            generation = getattr(self.engine, "generation", None)
-            return {
-                "result": QueryResult.from_knn(result, generation=generation).to_payload()
-            }
+            return {"result": QueryResult.from_batch(batch)[0].to_payload()}
         if op == "insert":
             series = np.asarray(frame["series"], dtype=float)
             gid = await loop.run_in_executor(

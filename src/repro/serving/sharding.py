@@ -46,8 +46,9 @@ import numpy as np
 
 from .. import obs
 from ..engine.options import BatchResult, QueryOptions
+from ..engine.states import gather_rows
 from ..index.knn import KNNResult, SeriesDatabase
-from ..kinds import DistanceMode, IndexKind
+from ..kinds import DistanceMode, IndexKind, suite_distance_mode
 from ..reduction import REDUCERS
 
 __all__ = ["ShardedEngine", "partition_database", "MANIFEST_FILENAME"]
@@ -65,27 +66,11 @@ def _shard_dir(home: pathlib.Path, shard: int) -> pathlib.Path:
     return home / f"shard-{shard:02d}"
 
 
-def _rows(data, ids: "Sequence[int]") -> np.ndarray:
-    """Materialise the given rows from an array or a paged row view."""
-    gather = getattr(data, "gather", None)
-    if gather is not None and not isinstance(data, np.ndarray):
-        return np.asarray(gather(list(ids)), dtype=float)
-    return np.asarray(data, dtype=float)[list(ids)]
-
-
 def _needed_rows(total: int, shard: int, n_shards: int) -> int:
     """Rows shard ``shard`` holds when the global prefix has ``total`` rows."""
     if total <= shard:
         return 0
     return (total - shard + n_shards - 1) // n_shards
-
-
-def _distance_mode(db) -> DistanceMode:
-    """The :class:`repro.DistanceMode` to rebuild ``db``'s suite with."""
-    try:
-        return DistanceMode(db.suite.mode)
-    except ValueError:
-        return DistanceMode.PAR  # non-adaptive suites report 'aligned' etc.
 
 
 def _clone_empty(db) -> SeriesDatabase:
@@ -94,7 +79,7 @@ def _clone_empty(db) -> SeriesDatabase:
     return SeriesDatabase(
         reducer,
         index=db.index_kind,
-        distance_mode=_distance_mode(db),
+        distance_mode=suite_distance_mode(db.suite.mode),
         max_entries=db.max_entries,
         min_entries=db.min_entries,
     )
@@ -110,19 +95,18 @@ def partition_database(db, n_shards: int, bulk: bool = False) -> "List[SeriesDat
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    inner = getattr(db, "_inner", db)
-    if inner.data is None:
+    if db.data is None:
         raise ValueError("cannot partition a database before ingest")
-    count = inner._count
-    by_id = {e.series_id: e for e in inner.entries}
+    count = db._count
+    by_id = {e.series_id: e for e in db.entries}
     shards: "List[SeriesDatabase]" = []
     for s in range(n_shards):
-        shard = _clone_empty(inner)
+        shard = _clone_empty(db)
         gids = list(range(s, count, n_shards))
         if gids:
             live = [(local, by_id[g]) for local, g in enumerate(gids) if g in by_id]
             shard.ingest(
-                _rows(inner.data, gids),
+                gather_rows(db.data, gids),
                 representations=[e.representation for _, e in live],
                 live_ids=[local for local, _ in live],
                 bulk=bulk,
@@ -138,15 +122,8 @@ def _truncate_tail(shard: SeriesDatabase, keep: int) -> None:
     representations of the surviving live entries.
     """
     if keep <= 0:
-        shard.data = None
-        shard._buf = None
-        shard._count = 0
-        shard.entries = []
-        shard._live_ids = set()
-        shard.tree = None
-        shard._rep_cache = None
-        shard._columns = None
-        shard._generation += 1
+        shard._rows.clear()
+        shard._install([])
         return
     entries = [e for e in sorted(shard.entries, key=lambda e: e.series_id) if e.series_id < keep]
     shard.ingest(
@@ -310,29 +287,53 @@ class ShardedEngine:
         inserts/deletes never shift any shard mid-flight.
         """
         options = options if options is not None else QueryOptions()
+        deadline = (
+            None if options.deadline_s is None else time.perf_counter() + options.deadline_s
+        )
+
+        def run(engine, queries):
+            opts = options
+            if deadline is not None:
+                remaining = max(deadline - time.perf_counter(), 1e-9)
+                opts = replace(options, deadline_s=remaining)
+            return engine.knn_batch(queries, opts)
+
+        return self._scatter(queries, run, options.k)
+
+    def range_batch(self, queries: np.ndarray, radius: float) -> BatchResult:
+        """All series within ``radius`` of each query, merged across shards.
+
+        The same scatter-gather as :meth:`knn_batch` — every shard pinned
+        for the duration, hits re-keyed to global ids and ordered by the
+        stable ``(distance, series id)`` rule — with nothing cut off.
+        """
+        return self._scatter(
+            queries, lambda engine, queries: engine.range_batch(queries, radius), None
+        )
+
+    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
+        """One radius query — :meth:`range_batch` with a batch of one."""
+        return self.range_batch(np.asarray(query, dtype=float)[None, :], radius).results[0]
+
+    def _scatter(self, queries: np.ndarray, run, k: "Optional[int]") -> BatchResult:
+        """Pin every shard, ``run(engine, queries)`` on each pinned view's
+        engine, and merge the per-shard batches (best ``k``, or all hits)."""
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2:
-            raise ValueError("knn_batch expects a (Q, n) array of queries")
+            raise ValueError("expected a (Q, n) array of queries")
         n = len(self._shards)
         start = time.perf_counter()
-        deadline = None if options.deadline_s is None else start + options.deadline_s
         snaps = [sh.snapshot() for sh in self._shards]
         try:
-            def run(snap):
-                if snap.data is None:
-                    return None
-                opts = options
-                if deadline is not None:
-                    remaining = max(deadline - time.perf_counter(), 1e-9)
-                    opts = replace(options, deadline_s=remaining)
-                return snap.engine().knn_batch(queries, opts)
+            def on(snap):
+                return None if snap.data is None else run(snap.engine(), queries)
 
             if self._pool is not None:
-                batches = list(self._pool.map(run, snaps))
+                batches = list(self._pool.map(on, snaps))
             else:
-                batches = [run(snap) for snap in snaps]
+                batches = [on(snap) for snap in snaps]
             merge_start = time.perf_counter()
-            results, timed_out = self._merge(batches, len(queries), options.k)
+            results, timed_out = self._merge(batches, len(queries), k)
             if obs.is_enabled():
                 obs.count("shard.batches")
                 obs.count(
@@ -354,7 +355,7 @@ class ShardedEngine:
             for snap in snaps:
                 snap.release()
 
-    def _merge(self, batches, n_queries: int, k: int):
+    def _merge(self, batches, n_queries: int, k: "Optional[int]"):
         """Merge per-shard batches into global-id results (stable tie-break)."""
         n = len(self._shards)
         results: "List[KNNResult]" = []
@@ -380,7 +381,7 @@ class ShardedEngine:
                 node_pushes += r.node_pushes
                 heap_pushes += r.heap_pushes
             merged.sort()  # (distance, global id) — the single-engine tie-break
-            top = merged[:k]
+            top = merged[:k]  # k is None for a range merge: every hit
             results.append(
                 KNNResult(
                     ids=[gid for _, gid in top],
@@ -394,41 +395,6 @@ class ShardedEngine:
                 )
             )
         return results, timed_out
-
-    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
-        """All series within ``radius`` of ``query``, merged across shards.
-
-        Each shard is frozen (mutations defer) while it scans; hits are
-        re-keyed to global ids and ordered by the stable
-        ``(distance, series id)`` rule.
-        """
-        hits: "List[tuple[float, int]]" = []
-        n_verified = n_total = nodes_visited = n_candidates = 0
-        node_pushes = heap_pushes = 0
-        n = len(self._shards)
-        for s, shard in enumerate(self._shards):
-            if shard.data is None:
-                continue
-            with shard.freeze():
-                r = shard.range_query(query, radius)
-            hits.extend((d, local * n + s) for d, local in zip(r.distances, r.ids))
-            n_verified += r.n_verified
-            n_total += r.n_total
-            nodes_visited += r.nodes_visited
-            n_candidates += r.n_candidates
-            node_pushes += r.node_pushes
-            heap_pushes += r.heap_pushes
-        hits.sort()
-        return KNNResult(
-            ids=[gid for _, gid in hits],
-            distances=[d for d, _ in hits],
-            n_verified=n_verified,
-            n_total=n_total,
-            nodes_visited=nodes_visited,
-            n_candidates=n_candidates,
-            node_pushes=node_pushes,
-            heap_pushes=heap_pushes,
-        )
 
     # -- mutation ----------------------------------------------------------
     def insert(self, series: np.ndarray) -> int:
@@ -503,7 +469,7 @@ class ShardedEngine:
             "reducer": template.reducer.name,
             "n_coefficients": template.reducer.n_coefficients,
             "index": template.index_kind,
-            "distance_mode": str(_distance_mode(template)),
+            "distance_mode": str(suite_distance_mode(template.suite.mode)),
             "max_entries": template.max_entries,
             "min_entries": template.min_entries,
         }

@@ -3,9 +3,8 @@
 The same typed :class:`KnnRequest`/:class:`RangeRequest` objects must get
 the same answers from an in-process database, a saved database directory,
 a sharded home, and a live TCP server — and every legacy entry point
-(`repro.knn`, direct ``QueryEngine`` construction, ``save_database`` /
-``load_database``) must route through the facade with a *single-shot*
-``DeprecationWarning``.
+(`repro.knn`, direct ``QueryEngine`` construction) must route through the
+facade with a *single-shot* ``DeprecationWarning``.
 """
 
 import asyncio
@@ -26,10 +25,12 @@ from repro.client import (
     TcpClient,
     connect,
 )
+from repro.continuous import RangeWatch
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode
 from repro.reduction import PAA
 from repro.serving import ReproServer, ServerConfig, ShardedEngine
+from repro.storage import DiskBackedDatabase
 
 LENGTH = 32
 
@@ -127,16 +128,6 @@ class TestLocalBackends:
         assert_matches(results, reference_answers(db, queries, k=6))
         assert stats["server"]["shards"] == 3
 
-    def test_range_query_through_facade(self):
-        db = make_db()
-        data = np.asarray(db.data)
-        radius = float(np.linalg.norm(data[0] - data[1])) + 1e-9
-        want = db.range_query(data[0], radius)
-        with connect(db) as client:
-            got = client.range(RangeRequest(query=data[0], radius=radius))
-        assert got.ids == want.ids
-        assert got.distances == want.distances
-
     def test_connect_rejects_unknown_targets(self, tmp_path):
         with pytest.raises(ValueError):
             connect(tmp_path / "nowhere")
@@ -178,6 +169,90 @@ class _ServerThread:
         asyncio.run_coroutine_threadsafe(shutdown(), self.loop)
         self.thread.join(timeout=10)
         self.loop.close()
+
+
+def _disk_db(path, data):
+    db = DiskBackedDatabase(PAA(8), path, index=None, distance_mode=DistanceMode.PAR)
+    db.ingest(data)
+    return db
+
+
+@pytest.mark.parametrize("backend", ["memory", "disk", "disk-home", "sharded", "tcp"])
+def test_range_and_range_watch_on_every_backend(backend, tmp_path):
+    """``Client.range`` and ``subscribe(RangeWatch)`` answer the NumPy brute
+    force (row-wise norm, the engine's one verification primitive) to the
+    bit, whatever holds the rows."""
+    data = np.asarray(make_db().data)
+    query = data[0] + 0.01
+    truth = np.linalg.norm(data - query, axis=1)
+    radius = float(np.sort(truth)[[5, 6]].mean())
+    inside = truth <= radius
+    want = sorted(zip(truth[inside].tolist(), np.flatnonzero(inside).tolist()))
+    host = None
+    if backend == "memory":
+        target = make_db()
+    elif backend == "disk":
+        target = _disk_db(tmp_path / "rows.bin", data)
+    elif backend == "disk-home":
+        _disk_db(tmp_path / "rows.bin", data).save(tmp_path / "home")
+        target = tmp_path / "home"
+    elif backend == "sharded":
+        target = ShardedEngine.from_database(make_db(), 3)
+    else:
+        host = _ServerThread(make_db())
+        target = f"tcp://127.0.0.1:{host.port}"
+    try:
+        with connect(target) as client:
+            got = client.range(RangeRequest(query=query, radius=radius))
+            with client.subscribe(RangeWatch(query=query, radius=radius)) as watch:
+                first = watch.next(timeout=10)
+    finally:
+        if host is not None:
+            host.stop()
+    assert len(want) == 6
+    assert list(zip(got.distances, got.ids)) == want
+    assert first.full
+    assert list(zip(first.distances, first.ids)) == want
+
+
+class _InsertOnGather:
+    """A row store whose first ``gather`` inserts a row: a mutation landing
+    between a walk's planning and its verification."""
+
+    def __init__(self, db, row):
+        self.db, self.row, self.rows = db, row, db._rows
+        self.during = None
+
+    def __getattr__(self, name):  # the row-store side: the real store's
+        return getattr(self.rows, name)
+
+    def __len__(self):
+        return len(self.rows)
+
+    view = property(lambda self: self)
+    shape = property(lambda self: self.rows.view.shape)
+
+    def gather(self, series_ids):
+        if self.during is None:
+            inserted = self.db.insert(self.row)
+            self.during = (inserted, len(self.db.entries), self.db.generation)
+        return self.rows.view[np.asarray(series_ids)]
+
+
+def test_range_reply_carries_the_generation_of_its_pinned_snapshot():
+    db = make_db()
+    query = np.asarray(db.data)[0]
+    db._rows = rows = _InsertOnGather(db, query + 1e-9)
+    entries, generation = len(db.entries), db.generation
+    with connect(db) as client:
+        reply = client.range(RangeRequest(query=query, radius=1e9))
+        # mid-walk: the raw row landed, the entry list and generation did not move
+        assert rows.during == (entries, entries, generation)
+        assert reply.generation == generation
+        assert sorted(reply.ids) == list(range(entries))
+        # released: the deferred insert is visible to the next query
+        assert db.generation == generation + 1
+        assert entries in client.range(RangeRequest(query=query, radius=1e9)).ids
 
 
 class TestTcpBackend:
@@ -249,20 +324,6 @@ class TestDeprecatedEntryPoints:
             warnings.simplefilter("always")
             db.engine().knn_batch(np.asarray(db.data)[:1])
         assert not [w for w in caught if w.category is DeprecationWarning]
-
-    def test_save_and_load_database_warn_and_route(self, fresh_warnings, tmp_path):
-        from repro.io import load_database, save_database
-
-        db = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            save_database(db, tmp_path / "db")
-            loaded = load_database(tmp_path / "db")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2  # one per entry point, not per call
-        assert loaded._count == db._count
-        query = np.asarray(db.data)[0]
-        assert loaded.knn(query, 3).ids == db.knn(query, 3).ids
 
 
 def test_importing_the_client_does_not_import_scipy():

@@ -16,7 +16,6 @@ from repro.continuous import (
     RangeWatch,
     SubsequenceWatch,
 )
-from repro.distance import euclidean
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.reduction import PAA
@@ -96,7 +95,7 @@ class TestKnnWatch:
 
 
 class TestRangeWatch:
-    def test_membership_uses_the_range_query_distance_primitive(self):
+    def test_membership_uses_the_engine_distance_primitive(self):
         db = make_db()
         evaluator = ContinuousEvaluator(db)
         query = np.asarray(db.data)[2] + 0.01
@@ -112,8 +111,10 @@ class TestRangeWatch:
         gid = evaluator.insert(row)
         delta = notes[-1]
         assert delta.added == (gid,)
-        # the incremental distance is exactly range_query's verification value
-        assert dict(zip(delta.ids, delta.distances))[gid] == euclidean(row, query)
+        # the incremental distance is the row-wise norm every search verifies with
+        assert dict(zip(delta.ids, delta.distances))[gid] == float(
+            np.linalg.norm(row[None, :] - query[None, :], axis=1)[0]
+        )
         reference = db.range_query(query, radius)
         assert list(delta.ids) == list(reference.ids)
         assert list(delta.distances) == list(reference.distances)

@@ -6,7 +6,8 @@ per-query :meth:`SeriesDatabase.knn` calls and of the classic sequential
 loop (``ExecutionMode.SEQUENTIAL``).  Where the query bound is a true lower
 bound (Dist_LB, the aligned methods, CHEBY, SAX mindist) the answers must
 additionally equal the brute-force ground truth, including the stable
-tie-break on duplicate series.
+tie-break on duplicate series.  Range queries ride the same grids: they are
+the same state-machine walk with a fixed radius.
 """
 
 import numpy as np
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from repro.distance import ADAPTIVE_METHODS
 from repro.engine import ExecutionMode, QueryEngine, QueryOptions
+from repro.engine.states import WHOLE_RUN, gather_rows, make_state
 from repro.index import SeriesDatabase, linear_scan
+from repro.index.knn import RangeHits
 from repro.kinds import DistanceMode, IndexKind
 from repro.reduction import PAA, PLA, REDUCERS
 
@@ -50,6 +53,28 @@ def build(name, index, mode, data):
 def assert_same(a, b):
     assert a.ids == b.ids
     assert a.distances == b.distances
+
+
+def mid_radius(data, query, rank=5):
+    """A radius strictly between the ``rank``-th and next true distances."""
+    truth = np.sort(np.linalg.norm(data - query, axis=1))
+    return float(truth[rank : rank + 2].mean())
+
+
+def range_walk(db, query, radius, use_batch_bounds):
+    """One range state driven the way the engine drives it, with the bound
+    path chosen at the ``make_state`` level (there is no user-facing switch)."""
+    with db.snapshot() as view:
+        state = make_state(
+            view, query, WHOLE_RUN, 1, use_batch_bounds=use_batch_bounds,
+            collector=RangeHits(radius),
+        )
+        while not state.done:
+            ids = state.advance()
+            if ids:
+                rows = gather_rows(view.data, ids)
+                state.feed(ids, np.linalg.norm(rows - query[None, :], axis=1))
+        return state.finalize()
 
 
 def assert_same_accounting(a, b):
@@ -95,6 +120,18 @@ def test_batch_matches_per_query_and_sequential(name, mode, index):
             assert_same_accounting(single, seq)
             assert_same_accounting(bat, seq)
             assert_same_accounting(vec, seq)
+    # range: store-read and scalar bounds give the same walk, to the counter
+    query = queries[0]
+    radius = mid_radius(data, query)
+    from_store = range_walk(db, query, radius, use_batch_bounds=True)
+    assert from_store == range_walk(db, query, radius, use_batch_bounds=False)
+    assert from_store == db.range_query(query, radius)
+    if index is None:
+        ctx = db.query_context(query)
+        admissible = [
+            db.suite.query_bound(ctx, e.representation) <= radius for e in db.entries
+        ]
+        assert from_store.n_verified == sum(admissible)
 
 
 @pytest.mark.parametrize(
@@ -153,6 +190,11 @@ def test_lower_bounding_configs_match_linear_scan(name, mode, index):
     batched = db.knn_batch(queries, QueryOptions(k=4))
     for query, result in zip(queries, batched.results):
         assert_same(result, linear_scan(data, query, 4))
+        radius = mid_radius(data, query)
+        truth = np.linalg.norm(data - query[None, :], axis=1)
+        hits = sorted((d, i) for i, d in enumerate(truth.tolist()) if d <= radius)
+        within = db.range_query(query, radius)
+        assert list(zip(within.distances, within.ids)) == hits
 
 
 @pytest.mark.parametrize("name", ["SAPLA", "APLA", "APCA"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.index import SeriesDatabase
-from repro.io import load_database, save_database
+from repro.io import open_database
 from repro.reduction import CHEBY, PAA, SAX, SAPLAReducer
 
 DATA = np.random.default_rng(0).normal(size=(30, 64)).cumsum(axis=1)
@@ -17,8 +17,8 @@ DATA = np.random.default_rng(0).normal(size=(30, 64)).cumsum(axis=1)
 def test_round_trip_preserves_search(tmp_path, reducer_cls, index_kind):
     original = SeriesDatabase(reducer_cls(12), index=index_kind)
     original.ingest(DATA)
-    save_database(original, tmp_path / "db")
-    loaded = load_database(tmp_path / "db")
+    original.save(tmp_path / "db")
+    loaded = open_database(tmp_path / "db")
 
     query = DATA[5] + 0.01
     a = original.knn(query, 4)
@@ -29,23 +29,17 @@ def test_round_trip_preserves_search(tmp_path, reducer_cls, index_kind):
     assert loaded.reducer.name == reducer_cls.name
 
 
-def test_save_before_ingest_rejected(tmp_path):
-    db = SeriesDatabase(PAA(12))
-    with pytest.raises(ValueError):
-        save_database(db, tmp_path / "db")
-
-
 def test_config_contents(tmp_path):
     import json
 
     db = SeriesDatabase(SAPLAReducer(18), index="dbch", distance_mode="lb")
     db.ingest(DATA)
-    save_database(db, tmp_path / "db")
+    db.save(tmp_path / "db")
     config = json.loads((tmp_path / "db" / "config.json").read_text())
     assert config["reducer"] == "SAPLA"
     assert config["n_coefficients"] == 18
     assert config["distance_mode"] == "lb"
-    loaded = load_database(tmp_path / "db")
+    loaded = open_database(tmp_path / "db")
     assert loaded.suite.mode == "lb"
 
 
@@ -53,7 +47,7 @@ def test_loaded_database_skips_reduction(tmp_path, monkeypatch):
     """Loading must reuse stored representations, not re-transform."""
     db = SeriesDatabase(PAA(12), index=None)
     db.ingest(DATA)
-    save_database(db, tmp_path / "db")
+    db.save(tmp_path / "db")
 
     calls = {"n": 0}
     original_transform = PAA.transform
@@ -63,5 +57,5 @@ def test_loaded_database_skips_reduction(tmp_path, monkeypatch):
         return original_transform(self, series)
 
     monkeypatch.setattr(PAA, "transform", counting_transform)
-    load_database(tmp_path / "db")
+    open_database(tmp_path / "db")
     assert calls["n"] == 0

@@ -1,7 +1,7 @@
 """Kill -9 a process mid-ingest; recovery must lose nothing acknowledged.
 
-The child opens a saved database with ``FsyncPolicy.ALWAYS`` and inserts a
-deterministic stream of series, printing each id the moment the insert call
+The child opens a saved database (either row-store kind) with
+``FsyncPolicy.ALWAYS`` and inserts a deterministic stream of series, printing each id the moment the insert call
 returns (i.e. after the WAL record is fsynced).  The parent SIGKILLs it at
 several points, reopens the directory, and asserts:
 
@@ -20,10 +20,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.engine.states import gather_rows
 from repro.index import SeriesDatabase
 from repro.io import open_database
 from repro.kinds import IndexKind
 from repro.reduction import PAA
+from repro.storage import DiskBackedDatabase
 
 LENGTH = 32
 SEED_ROWS = 10
@@ -48,9 +50,19 @@ CHILD_SCRIPT = textwrap.dedent(
 ).format(seed=CHILD_SEED, length=LENGTH)
 
 
-def seed_directory(tmp_path):
+KINDS = ("memory", "disk")
+
+
+def seed_directory(tmp_path, kind="memory"):
+    """A saved home of the given row-store kind (shared with
+    ``scripts/crash_matrix.py``)."""
     rng = np.random.default_rng(0)
-    db = SeriesDatabase(PAA(n_coefficients=8), index=IndexKind.DBCH)
+    if kind == "disk":
+        db = DiskBackedDatabase(
+            PAA(n_coefficients=8), tmp_path / "series.bin", index=IndexKind.DBCH
+        )
+    else:
+        db = SeriesDatabase(PAA(n_coefficients=8), index=IndexKind.DBCH)
     db.ingest(rng.normal(size=(SEED_ROWS, LENGTH)))
     db.save(tmp_path)
     return tmp_path
@@ -79,9 +91,10 @@ def run_child_and_kill_after(directory, acks_before_kill, total=200):
     return acked
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("kill_after", [1, 17, 60])
-def test_sigkill_mid_ingest_loses_nothing_acknowledged(tmp_path, kill_after):
-    seed_directory(tmp_path)
+def test_sigkill_mid_ingest_loses_nothing_acknowledged(tmp_path, kill_after, kind):
+    seed_directory(tmp_path, kind)
     acked = run_child_and_kill_after(tmp_path, kill_after)
     assert len(acked) >= kill_after
 
@@ -95,7 +108,7 @@ def test_sigkill_mid_ingest_loses_nothing_acknowledged(tmp_path, kill_after):
 
     # bit-identical answers vs a cleanly built database over the same rows
     clean = SeriesDatabase(PAA(n_coefficients=8), index=IndexKind.DBCH)
-    clean.ingest(np.asarray(recovered.data)[: len(live)])
+    clean.ingest(gather_rows(recovered.data, live))
     rng = np.random.default_rng(99)
     for q in rng.normal(size=(5, LENGTH)):
         a = recovered.knn(q, 5)

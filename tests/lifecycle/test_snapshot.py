@@ -117,7 +117,7 @@ class TestAmortisedInsert:
         buffers = set()
         for _ in range(60):
             db.insert(rng.normal(size=32))
-            buffers.add(id(db._buf))
+            buffers.add(id(db._rows._buf))
         # 4 -> 64 rows should reallocate only a handful of times
         assert len(buffers) <= 6
         assert db.data.shape == (64, 32)

@@ -126,6 +126,7 @@ class TestProtocol:
         assert reply["ok"]
         assert reply["result"]["ids"] == reference.ids
         assert reply["result"]["distances"] == reference.distances
+        assert reply["result"]["generation"] == db.generation
 
     def test_unknown_op_and_bad_payload(self, db):
         async def client(reader, writer, server):
@@ -188,8 +189,8 @@ class _BlockingEngine:
         self.release.wait(timeout=30)
         return self._db.knn_batch(queries, options)
 
-    def range_query(self, query, radius):
-        return self._db.range_query(query, radius)
+    def range_batch(self, queries, radius):
+        return self._db.range_batch(queries, radius)
 
 
 class TestAdmissionControl:
