@@ -70,26 +70,26 @@ verify-serving:
 	PYTHONPATH=src python scripts/serve_loadtest.py --report /tmp/repro-serve-loadtest.json
 	PYTHONPATH=src python -m repro stats --report /tmp/repro-serve-loadtest.json
 
-# continuous-query subsystem: lint + its tests, then the subscription load
+# continuous-query subsystem: lint + its tests (and the record-file tests
+# its subscription log shares with the WAL), then the subscription load
 # test (>= 100 standing subscriptions over streaming ingest, pushed
 # frontiers bit-identical to scratch re-runs) whose insert-to-notify
-# latency report is committed and rendered through repro stats
+# latency report is rendered through repro stats
 verify-continuous:
 	python scripts/check_metric_names.py
-	PYTHONPATH=src pytest tests/continuous -q
+	PYTHONPATH=src pytest tests/continuous tests/lifecycle/test_recordfile.py -q
 	PYTHONPATH=src python scripts/continuous_loadtest.py \
-		--report benchmarks/results/continuous_loadtest.report.json
+		--report /tmp/repro-continuous-loadtest.report.json
 	PYTHONPATH=src python -m repro stats \
-		--report benchmarks/results/continuous_loadtest.report.json
+		--report /tmp/repro-continuous-loadtest.report.json
 
 # batched write side: lint + the transform_batch bit-identity grid and the
 # batched core/streaming tests, then the batch-vs-scalar micro-benchmark
-# whose report is committed
 verify-reduction:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/reduction tests/core -q
 	PYTHONPATH=src python benchmarks/bench_reduction_batch.py \
-		--report benchmarks/results/reduction_batch.report.json
+		--report /tmp/repro-reduction-batch.report.json
 
 # the repository benchmark (perf/, BENCHMARK.json): all four workloads at
 # smoke scale with every answer checked, then the benchmark's own tests —
@@ -102,13 +102,10 @@ verify-perf:
 verify: verify-obs verify-engine verify-lifecycle verify-experiments \
 	verify-cascade verify-serving verify-continuous verify-reduction verify-perf
 
-# regenerate the committed perf baseline: BENCH_medium.json at the repo
-# root plus a JSON export of the results store
+# regenerate the committed perf baseline: BENCH_medium.json at the repo root
 baseline:
 	PYTHONPATH=src python -m repro experiment run benchmarks/specs/medium.toml \
 		--store benchmarks/results/experiments.sqlite --bench-dir .
-	PYTHONPATH=src python scripts/export_experiments.py \
-		benchmarks/results/experiments.sqlite benchmarks/results/experiments_store.json
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -1,8 +1,7 @@
 """The one query facade: ``connect(anything) -> Client``.
 
-Generations of entry points (the free ``knn`` function, direct
-``QueryEngine`` construction) collapse into this package: :func:`connect` resolves *any* target
-— a database object, a saved database directory, a sharded home, or a
+Every query entry point is this package: :func:`connect` resolves *any*
+target — a database object, a saved database directory, a sharded home, or a
 ``tcp://host:port`` URL — into a :class:`Client` whose typed
 :class:`KnnRequest`/:class:`RangeRequest`/:class:`QueryResult` vocabulary
 is shared verbatim by the in-process engine, the
@@ -12,10 +11,6 @@ is shared verbatim by the in-process engine, the
 
     with connect("runs/my_database") as client:       # or tcp://host:port
         results = client.knn(KnnRequest(queries, k=5))
-
-Legacy entry points keep working, each emitting a single-shot
-``DeprecationWarning`` — see the migration table in
-``docs/api_reference.md``.
 """
 
 from __future__ import annotations

@@ -91,12 +91,10 @@ class LocalClient(Client):
     """
 
     def __init__(self, target, owns: bool = False):
-        if isinstance(target, ContinuousEvaluator):
-            self._continuous: "ContinuousEvaluator | None" = target
-            target = target.target
-        else:
-            self._continuous = None
-        self.database = target
+        #: mutation and subscription calls go through the evaluator, so
+        #: standing queries see every delta
+        self._continuous = ContinuousEvaluator.over(target)
+        self.database = self._continuous.target
         #: whether close() should tear the backend down (True when connect()
         #: opened the backend itself from a path; False for caller-owned objects)
         self._owns = owns
@@ -113,24 +111,18 @@ class LocalClient(Client):
         return QueryResult.from_batch(batch)[0]
 
     # -- mutation + continuous surface -----------------------------------
-    def _evaluator(self) -> ContinuousEvaluator:
-        """The evaluator behind mutation/subscription calls (lazy)."""
-        if self._continuous is None:
-            self._continuous = ContinuousEvaluator(self.database)
-        return self._continuous
-
     def insert(self, series) -> int:
         """Insert through the evaluator so subscriptions see the delta."""
-        return self._evaluator().insert(np.asarray(series, dtype=float))
+        return self._continuous.insert(np.asarray(series, dtype=float))
 
     def delete(self, series_id: int) -> bool:
         """Delete through the evaluator so subscriptions see the delta."""
-        return self._evaluator().delete(int(series_id))
+        return self._continuous.delete(int(series_id))
 
     def subscribe(self, query: StandingQuery) -> Subscription:
         """Register a standing query fed by an in-process queue."""
         inbox: "_queue.Queue[Notification]" = _queue.Queue()
-        sid = self._evaluator().subscribe(query, sink=inbox.put)
+        sid = self._continuous.subscribe(query, sink=inbox.put)
 
         def fetch(timeout):
             try:
@@ -144,7 +136,7 @@ class LocalClient(Client):
 
     def unsubscribe(self, subscription_id: str) -> bool:
         """Drop a standing query by id."""
-        return self._evaluator().unsubscribe(subscription_id)
+        return self._continuous.unsubscribe(subscription_id)
 
     def stats(self) -> dict:
         """Backend info plus a metrics snapshot when collection is enabled."""
@@ -152,11 +144,7 @@ class LocalClient(Client):
             "server": {
                 "backend": "local",
                 "shards": getattr(self.database, "n_shards", 1),
-                "subscriptions": (
-                    len(self._continuous.registry)
-                    if self._continuous is not None
-                    else 0
-                ),
+                "subscriptions": len(self._continuous.registry),
             }
         }
         if obs.is_enabled():
@@ -171,8 +159,7 @@ class LocalClient(Client):
         """Tear the backend down if this client opened it (else a no-op)."""
         if not self._owns:
             return
-        if self._continuous is not None:
-            self._continuous.close()
+        self._continuous.close()
         closer = getattr(self.database, "close", None)
         if callable(closer):
             closer()

@@ -15,17 +15,18 @@ the pending request id.
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..continuous import Notification, StandingQuery
 from ..serving.protocol import (
+    HEADER_BYTES,
     MAX_FRAME_BYTES,
     FrameError,
+    decode_body,
     encode_frame,
+    frame_length,
 )
 from .api import KnnRequest, QueryResult, RangeRequest
 from .local import Client
@@ -70,17 +71,14 @@ class TcpClient(Client):
     def _read_frame(self) -> "Optional[dict]":
         """One frame off the socket, honouring its current timeout setting."""
         while True:
-            if len(self._buffer) >= 4:
-                (length,) = struct.unpack(">I", bytes(self._buffer[:4]))
-                if length > self._max_frame_bytes:
-                    raise FrameError(
-                        f"frame of {length} bytes exceeds the "
-                        f"{self._max_frame_bytes} cap"
-                    )
-                if len(self._buffer) >= 4 + length:
-                    body = bytes(self._buffer[4 : 4 + length])
-                    del self._buffer[: 4 + length]
-                    return json.loads(body.decode("utf-8"))
+            if len(self._buffer) >= HEADER_BYTES:
+                end = HEADER_BYTES + frame_length(
+                    bytes(self._buffer[:HEADER_BYTES]), self._max_frame_bytes
+                )
+                if len(self._buffer) >= end:
+                    body = bytes(self._buffer[HEADER_BYTES:end])
+                    del self._buffer[:end]
+                    return decode_body(body)
             chunk = self._sock.recv(1 << 16)
             if not chunk:
                 if self._buffer:

@@ -10,8 +10,10 @@ backpressure semantics and delivery guarantees.
   typed notification delta;
 * :mod:`repro.continuous.registry` — durable, replayable subscription
   state (a checksummed log beside the data WAL);
-* :mod:`repro.continuous.evaluator` — the incremental evaluator routing
-  mutations to affected subscriptions;
+* :mod:`repro.continuous.watches` — what each kind does with a mutation:
+  one evaluation object per kind, one table from kind to object;
+* :mod:`repro.continuous.evaluator` — locking, seqs and sink-then-ack
+  delivery around one loop over the subscriptions' watches;
 * :mod:`repro.continuous.anomaly` — the StreamingSAPLA-driven online
   discord scorer behind :class:`AnomalyWatch`.
 """

@@ -17,12 +17,13 @@ Four kinds exist:
 
 Every type round-trips through ``to_payload`` / ``from_payload`` — the same
 dicts travel the TCP wire (push frames) and the durable subscription log,
-so a replayed subscription is byte-for-byte the registered one.
+so a replayed subscription is byte-for-byte the registered one.  The four
+watch kinds share one codec (:class:`_Payload`), driven by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
@@ -38,8 +39,34 @@ __all__ = [
 ]
 
 
+#: a standing-query field's annotation -> (value -> JSON, JSON -> value);
+#: every field of every kind is one of these three
+_FIELD_CODECS = {
+    "np.ndarray": (np.ndarray.tolist, lambda values: np.asarray(values, dtype=float)),
+    "int": (int, int),
+    "float": (float, float),
+}
+
+
+class _Payload:
+    """The payload codec of every standing-query kind: ``kind`` plus each
+    dataclass field, in declaration order."""
+
+    def to_payload(self) -> dict:
+        """JSON-safe dict for the wire and the subscription log."""
+        body = {f.name: _FIELD_CODECS[f.type][0](getattr(self, f.name)) for f in fields(self)}
+        return {"kind": self.kind, **body}
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        """Rebuild from a :meth:`to_payload` dict; a field the payload
+        leaves out takes its default, and ``__post_init__`` validates."""
+        present = [f for f in fields(cls) if f.name in payload]
+        return cls(**{f.name: _FIELD_CODECS[f.type][1](payload[f.name]) for f in present})
+
+
 @dataclass(frozen=True, eq=False)
-class KnnWatch:
+class KnnWatch(_Payload):
     """Standing top-``k``: the query's current nearest neighbours."""
 
     kind: ClassVar[str] = "knn"
@@ -55,20 +82,9 @@ class KnnWatch:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "query", series)
 
-    def to_payload(self) -> dict:
-        """JSON-safe dict for the wire and the subscription log."""
-        return {"kind": self.kind, "query": self.query.tolist(), "k": int(self.k)}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "KnnWatch":
-        return cls(
-            query=np.asarray(payload["query"], dtype=float),
-            k=int(payload.get("k", 1)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class RangeWatch:
+class RangeWatch(_Payload):
     """Standing radius query: every live series within ``radius``."""
 
     kind: ClassVar[str] = "range"
@@ -85,20 +101,9 @@ class RangeWatch:
         object.__setattr__(self, "query", series)
         object.__setattr__(self, "radius", float(self.radius))
 
-    def to_payload(self) -> dict:
-        """JSON-safe dict for the wire and the subscription log."""
-        return {"kind": self.kind, "query": self.query.tolist(), "radius": self.radius}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RangeWatch":
-        return cls(
-            query=np.asarray(payload["query"], dtype=float),
-            radius=float(payload["radius"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class SubsequenceWatch:
+class SubsequenceWatch(_Payload):
     """Occurrences of ``pattern`` inside series inserted after subscribing.
 
     Each inserted series is scanned at the given ``stride``; windows within
@@ -125,26 +130,9 @@ class SubsequenceWatch:
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "stride", int(self.stride))
 
-    def to_payload(self) -> dict:
-        """JSON-safe dict for the wire and the subscription log."""
-        return {
-            "kind": self.kind,
-            "pattern": self.pattern.tolist(),
-            "radius": self.radius,
-            "stride": self.stride,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SubsequenceWatch":
-        return cls(
-            pattern=np.asarray(payload["pattern"], dtype=float),
-            radius=float(payload["radius"]),
-            stride=int(payload.get("stride", 1)),
-        )
-
 
 @dataclass(frozen=True)
-class AnomalyWatch:
+class AnomalyWatch(_Payload):
     """Online discord alerts over the stream of inserted values.
 
     Values of every series inserted after the subscription concatenate into
@@ -172,27 +160,6 @@ class AnomalyWatch:
             raise ValueError("max_segments must be >= 1")
         if self.history < 1:
             raise ValueError("history must be >= 1")
-
-    def to_payload(self) -> dict:
-        """JSON-safe dict for the wire and the subscription log."""
-        return {
-            "kind": self.kind,
-            "window": int(self.window),
-            "threshold": float(self.threshold),
-            "stride": int(self.stride),
-            "max_segments": int(self.max_segments),
-            "history": int(self.history),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "AnomalyWatch":
-        return cls(
-            window=int(payload["window"]),
-            threshold=float(payload["threshold"]),
-            stride=int(payload.get("stride", 1)),
-            max_segments=int(payload.get("max_segments", 8)),
-            history=int(payload.get("history", 64)),
-        )
 
 
 StandingQuery = Union[KnnWatch, RangeWatch, SubsequenceWatch, AnomalyWatch]

@@ -1,13 +1,11 @@
-"""Durable subscription state: a checksummed log beside the data WAL.
+"""Durable subscription state: a replayable log beside the data WAL.
 
 Standing subscriptions must survive exactly what ingest survives — a
 SIGKILL at any instant.  The registry therefore persists every
-subscription-visible event to an append-only log with the same structural
-guarantees as :mod:`repro.lifecycle.wal`:
-
-``file   = magic (8 bytes) · record*``
-``record = length u32 LE · crc32(payload) u32 LE · payload``
-``payload = UTF-8 JSON object``
+subscription-visible event to a :class:`repro.lifecycle.recordfile.RecordFile`
+— the very file the data WAL sits on, so framing, torn-tail replay,
+truncate-on-open and the fsync policy are one implementation — whose
+payloads are UTF-8 JSON objects.
 
 Three record ops exist: ``subscribe`` (the standing query, verbatim, plus
 the ingest cursor it starts from), ``unsubscribe``, and ``ack`` — the
@@ -19,25 +17,20 @@ from scratch and re-emits the delta against the acked frontier — at-least-
 once delivery, de-duplicated by ``seq`` on the consumer side (see
 ``docs/continuous.md``).
 
-Replay is torn-tail tolerant: a record cut mid-write by a crash fails its
-length or CRC check, replay stops there, and reopening truncates the torn
-tail so appends never interleave with garbage.  A registry opened without
-a path keeps the same state in memory only (tests, ephemeral servers).
+A registry opened without a path keeps the same state in memory only
+(tests, ephemeral servers).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import struct
-import zlib
 from dataclasses import dataclass, field
 from threading import RLock
 from typing import Dict, Optional, Union
 
 from .. import obs
-from ..lifecycle.wal import DurabilityOptions, FsyncPolicy
+from ..lifecycle.recordfile import DurabilityOptions, RecordFile
 from .queries import StandingQuery, query_from_payload
 
 __all__ = ["SubscriptionRegistry", "SubscriptionState", "SUBSCRIPTIONS_FILENAME"]
@@ -50,10 +43,12 @@ MAGIC = b"RPSUB\x00\x01\n"
 #: default subscription-log filename inside a database directory.
 SUBSCRIPTIONS_FILENAME = "subscriptions.log"
 
-_PREFIX = struct.Struct("<II")  # payload length, crc32(payload)
-
 #: guards replay against a corrupt length prefix claiming gigabytes.
 _MAX_PAYLOAD = 16 * 1024 * 1024
+
+
+def _decode(payload: bytes) -> dict:
+    return json.loads(payload.decode("utf-8"))
 
 
 @dataclass
@@ -92,57 +87,18 @@ class SubscriptionRegistry:
         path: "Optional[PathLike]" = None,
         durability: "Optional[DurabilityOptions]" = None,
     ):
-        self._durability = durability if durability is not None else DurabilityOptions()
-        self._path = pathlib.Path(path) if path is not None else None
         self._subs: "Dict[str, SubscriptionState]" = {}
         self._counter = 0
         self._lock = RLock()
-        self._file = None
-        self._unsynced = 0
-        if self._path is not None:
-            self._open()
-
-    # -- construction ----------------------------------------------------
-    def _open(self) -> None:
-        exists = self._path.exists()
-        if exists:
-            valid_end = self._replay()
-            self._file = open(self._path, "r+b")
-            self._file.truncate(valid_end)  # drop any torn tail
-            self._file.seek(valid_end)
-        else:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self._path, "w+b")
-            self._file.write(MAGIC)
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
-    def _replay(self) -> int:
-        """Rebuild state from the log; returns the last valid byte offset."""
-        with obs.span("continuous.replay"):
-            blob = self._path.read_bytes()
-            if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-                raise ValueError(f"{self._path} is not a subscription log (bad magic)")
-            offset = len(MAGIC)
-            while True:
-                if offset + _PREFIX.size > len(blob):
-                    break
-                length, crc = _PREFIX.unpack_from(blob, offset)
-                if length > _MAX_PAYLOAD:
-                    break  # corrupt prefix: treat as torn tail
-                start = offset + _PREFIX.size
-                payload = blob[start : start + length]
-                if len(payload) != length or zlib.crc32(payload) != crc:
-                    break  # torn or corrupt record
-                try:
-                    record = json.loads(payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    break
-                self._apply(record)
-                offset = start + length
-            return offset
+        self._log: "Optional[RecordFile]" = None
+        if path is not None:
+            self._log = RecordFile(path, MAGIC, _MAX_PAYLOAD, _decode, durability)
+            with obs.span("continuous.replay"):
+                for record in self._log.open()[0]:
+                    self._apply(record)
 
     def _apply(self, record: dict) -> None:
+        """One state transition — replayed from the log or freshly made."""
         op = record.get("op")
         sid = record.get("sid")
         if op == "subscribe":
@@ -163,21 +119,12 @@ class SubscriptionRegistry:
             )
             sub.state = record.get("state", {})
 
-    # -- the append path -------------------------------------------------
-    def _append(self, record: dict) -> None:
-        if self._file is None:
-            return
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        self._file.write(_PREFIX.pack(len(payload), zlib.crc32(payload)) + payload)
-        self._file.flush()
-        policy = self._durability.fsync
-        if policy is FsyncPolicy.ALWAYS:
-            os.fsync(self._file.fileno())
-        elif policy is FsyncPolicy.BATCH:
-            self._unsynced += 1
-            if self._unsynced >= self._durability.batch_records:
-                os.fsync(self._file.fileno())
-                self._unsynced = 0
+    def _commit(self, record: dict) -> None:
+        """Apply one new transition and log it, so a replay of the log
+        walks exactly the transitions the live registry made."""
+        self._apply(record)
+        if self._log is not None:
+            self._log.append(json.dumps(record, separators=(",", ":")).encode("utf-8"))
 
     # -- the registry surface ---------------------------------------------
     def subscribe(
@@ -185,19 +132,16 @@ class SubscriptionRegistry:
     ) -> str:
         """Register one standing query; returns its subscription id."""
         with self._lock:
-            self._counter += 1
+            counter = self._counter + 1
             if sid is None:
-                sid = f"sub-{self._counter:06d}"
+                sid = f"sub-{counter:06d}"
             if sid in self._subs:
                 raise ValueError(f"subscription id {sid!r} already registered")
-            self._subs[sid] = SubscriptionState(
-                sid=sid, query=query, from_row=int(from_row)
-            )
-            self._append(
+            self._commit(
                 {
                     "op": "subscribe",
                     "sid": sid,
-                    "counter": self._counter,
+                    "counter": counter,
                     "from_row": int(from_row),
                     "query": query.to_payload(),
                 }
@@ -210,31 +154,19 @@ class SubscriptionRegistry:
         with self._lock:
             if sid not in self._subs:
                 return False
-            del self._subs[sid]
-            self._append({"op": "unsubscribe", "sid": sid})
+            self._commit({"op": "unsubscribe", "sid": sid})
             obs.gauge_set("continuous.subscriptions", len(self._subs))
             return True
 
     def ack(self, sid: str, seq: int, generation: object, state: dict) -> None:
         """Persist one delivered notification's frontier (call *after* delivery)."""
         with self._lock:
-            sub = self._subs.get(sid)
-            if sub is None:
+            if sid not in self._subs:
                 return  # racing unsubscribe: nothing to record
-            sub.seq = int(seq)
-            sub.generation = generation
-            sub.state = state
-            record_generation = (
-                list(generation) if isinstance(generation, tuple) else generation
-            )
-            self._append(
-                {
-                    "op": "ack",
-                    "sid": sid,
-                    "seq": int(seq),
-                    "generation": record_generation,
-                    "state": state,
-                }
+            # a sharded generation tuple is logged as the JSON list it
+            # serialises to, and replays back into a tuple
+            self._commit(
+                {"op": "ack", "sid": sid, "seq": int(seq), "generation": generation, "state": state}
             )
 
     def get(self, sid: str) -> "Optional[SubscriptionState]":
@@ -250,24 +182,11 @@ class SubscriptionRegistry:
     def __len__(self) -> int:
         return len(self._subs)
 
-    # -- lifecycle ---------------------------------------------------------
-    @property
-    def path(self) -> "Optional[pathlib.Path]":
-        """The backing log path (``None`` for an in-memory registry)."""
-        return self._path
-
-    def sync(self) -> None:
-        """Force-fsync the log (no-op in memory)."""
-        with self._lock:
-            if self._file is not None:
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                self._unsynced = 0
-
     def close(self) -> None:
         """Flush and close the log (idempotent)."""
         with self._lock:
-            if self._file is not None:
-                self.sync()
-                self._file.close()
-                self._file = None
+            if self._log is not None:
+                self._log.close()
+                # teardown races (a connection dropping its subscriptions
+                # after shutdown) still update the in-memory state
+                self._log = None

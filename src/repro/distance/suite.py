@@ -23,10 +23,9 @@ indexing needs:
   to ``query_bound``.  ``DistanceMode.AE``, CHEBY and SAX have only the
   scalar bound.
 
-``mode`` arguments accept :class:`repro.kinds.DistanceMode` (preferred) or
-the legacy strings ``'par'`` / ``'lb'`` / ``'ae'`` with a
-``DeprecationWarning``; unknown values raise immediately at suite-build time
-rather than deep inside the first query.
+``mode`` arguments accept a :class:`repro.kinds.DistanceMode` or its value
+(``'par'`` / ``'lb'`` / ``'ae'``); unknown values raise immediately at
+suite-build time rather than deep inside the first query.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..kinds import DistanceMode, coerce_distance_mode
+from ..kinds import DistanceMode
 from ..reduction.base import Reducer
 from .columnar import SegmentColumns
 from .dist_ae import dist_ae
@@ -131,11 +130,11 @@ def make_suite(
     ``mode`` selects the adaptive-method query bound: :class:`DistanceMode`
     members (``PAR`` — Dist_PAR, the paper's tight measure; ``LB`` —
     Dist_LB, the unconditional lower bound; ``AE`` — Dist_AE, tight but not
-    lower-bounding) or their legacy string spellings (deprecated).
+    lower-bounding) or their string values.
     Equal-length and symbolic methods ignore ``mode``.  Validation is eager:
     an unknown mode raises here, never mid-query.
     """
-    mode = coerce_distance_mode(mode)
+    mode = DistanceMode(mode)
     name = reducer.name
     if name in ADAPTIVE_METHODS:
         batch = None

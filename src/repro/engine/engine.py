@@ -46,22 +46,12 @@ class QueryEngine:
     tree and distance suite at call time, so ingest/insert/delete between
     batches are picked up automatically.
 
-    Constructing an engine directly is deprecated: reach one through the
-    :mod:`repro.client` facade (``connect(database)``), or via
-    ``database.engine()`` / ``snapshot.engine()`` for engine-level access.
-    Direct construction still works but emits a single-shot
-    ``DeprecationWarning`` per process.
+    Reach one through the :mod:`repro.client` facade
+    (``connect(database)``), or via ``database.engine()`` /
+    ``snapshot.engine()`` for engine-level access.
     """
 
-    def __init__(self, database, *, _internal: bool = False):
-        if not _internal:
-            from .._deprecations import warn_once
-
-            warn_once(
-                "QueryEngine",
-                "constructing QueryEngine(database) directly is deprecated; use "
-                "repro.client.connect(database) or database.engine() instead",
-            )
+    def __init__(self, database):
         self.database = database
 
     def knn_batch(

@@ -123,6 +123,6 @@ def _run_chunk(payload):
     obs.disable()
     if collecting:
         obs.set_registry(obs.MetricsRegistry(enabled=True))
-    batch = QueryEngine(db, _internal=True).knn_batch(chunk_queries, options)
+    batch = QueryEngine(db).knn_batch(chunk_queries, options)
     snap = obs.registry().snapshot() if collecting else None
     return batch.results, batch.timed_out, batch.rounds, snap

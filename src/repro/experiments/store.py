@@ -12,9 +12,9 @@ Stdlib-``sqlite3`` only.  Four schema'd tables:
 * ``environment`` — interpreter/platform facts per experiment, so a
   regression can be told apart from a machine change.
 
-The store is the queryable perf trajectory: the runner writes it, the
-report/diff commands read it, and :meth:`ResultsStore.export_json` emits a
-text snapshot suitable for committing next to ``BENCH_*.json``.
+The store is the queryable, machine-local perf trajectory: the runner
+writes it and the report/diff commands read it.  What gets committed is the
+``BENCH_*.json`` the runner distils from it.
 """
 
 from __future__ import annotations
@@ -281,28 +281,6 @@ class ResultsStore:
                 (experiment_id,),
             )
         }
-
-    # ------------------------------------------------------------------
-    def export_json(self, path: PathLike) -> pathlib.Path:
-        """Dump every table to one JSON file (a committable store snapshot)."""
-        payload = {
-            "schema": STORE_SCHEMA_VERSION,
-            "experiments": [dict(r) for r in self._conn.execute(
-                "SELECT * FROM experiments ORDER BY id"
-            )],
-            "trials": [dict(r) for r in self._conn.execute(
-                "SELECT * FROM trials ORDER BY id"
-            )],
-            "metrics": [dict(r) for r in self._conn.execute(
-                "SELECT rowid, * FROM metrics ORDER BY rowid"
-            )],
-            "environment": [dict(r) for r in self._conn.execute(
-                "SELECT rowid, * FROM environment ORDER BY rowid"
-            )],
-        }
-        path = pathlib.Path(path)
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        return path
 
 
 def record_bench_trial(

@@ -29,7 +29,7 @@ import numpy as np
 from .. import obs
 from ..distance.columnar import grown
 from ..distance.suite import ADAPTIVE_METHODS, QueryContext, make_suite
-from ..kinds import DistanceMode, IndexKind, coerce_index_kind
+from ..kinds import DistanceMode, IndexKind
 from ..lifecycle.snapshot import MutableDatabase
 from ..reduction.base import Reducer, reduce_rows
 from .bulk import bulk_load_dbch, bulk_load_rtree
@@ -259,12 +259,10 @@ class SeriesDatabase(MutableDatabase):
         reducer: the dimensionality reduction method for this database.
         index: an :class:`repro.IndexKind` — ``DBCH`` (the paper's
             structure), ``RTREE`` (baseline) or ``NONE``/``None`` (filter
-            every representation linearly, no tree).  The legacy strings
-            ``'dbch'`` / ``'rtree'`` / ``'none'`` still work but emit a
-            ``DeprecationWarning``.
+            every representation linearly, no tree), or the enum's value.
         distance_mode: adaptive-method query-bound mode, a
-            :class:`repro.DistanceMode` (see :func:`repro.distance.make_suite`);
-            legacy strings are coerced with a ``DeprecationWarning``.
+            :class:`repro.DistanceMode` or its value (see
+            :func:`repro.distance.make_suite`).
         max_entries / min_entries: node fill factors (paper uses 5 / 2).
 
     The database is mutable and snapshot-consistent: ``insert``/``delete``
@@ -287,7 +285,10 @@ class SeriesDatabase(MutableDatabase):
         min_entries: int = 2,
     ):
         self.reducer = reducer
-        self.index_kind: "Optional[IndexKind]" = coerce_index_kind(index)
+        # ``None`` and ``IndexKind.NONE`` both mean "no tree"; a value that
+        # is no IndexKind raises ValueError here, not mid-query
+        kind = None if index is None else IndexKind(index)
+        self.index_kind: "Optional[IndexKind]" = None if kind is IndexKind.NONE else kind
         self.suite = make_suite(reducer, distance_mode)
         self.max_entries = max_entries
         self.min_entries = min_entries
@@ -314,9 +315,21 @@ class SeriesDatabase(MutableDatabase):
         return self._rows.view
 
     @property
-    def _count(self) -> int:
+    def count(self) -> int:
         """Rows ever stored, tombstones included: the next series id."""
         return len(self._rows)
+
+    def __len__(self) -> int:
+        """Number of live (non-tombstoned) series."""
+        return len(self._live_ids)
+
+    def live_ids(self) -> "List[int]":
+        """Every live (non-tombstoned) series id, ascending."""
+        return sorted(self._live_ids)
+
+    def row(self, series_id: int) -> np.ndarray:
+        """One raw row by id (tombstoned rows are still addressable)."""
+        return np.asarray(self.data[int(series_id)], dtype=float)
 
     # ------------------------------------------------------------------
     def ingest(
@@ -462,7 +475,7 @@ class SeriesDatabase(MutableDatabase):
         if self._engine is None:
             from ..engine import QueryEngine
 
-            self._engine = QueryEngine(self, _internal=True)
+            self._engine = QueryEngine(self)
         return self._engine
 
     def cascade(self):
@@ -528,11 +541,11 @@ class SeriesDatabase(MutableDatabase):
         """
         if self.data is None:
             raise RuntimeError("ingest data before searching")
-        tombstones = self._count - len(self._live_ids)
+        tombstones = self.count - len(self._live_ids)
         with obs.span("knn.ground_truth"):
             if tombstones == 0:
                 return linear_scan(self.data, query, k)
-            overfetch = min(k + tombstones, self._count)
+            overfetch = min(k + tombstones, self.count)
             result = linear_scan(self.data, query, overfetch)
         kept = [
             (i, d) for i, d in zip(result.ids, result.distances) if i in self._live_ids
@@ -578,7 +591,7 @@ class SeriesDatabase(MutableDatabase):
             raise ValueError(
                 f"series length {matrix.shape[1]} does not match stored {self.data.shape[1]}"
             )
-        ids = list(range(self._count, self._count + matrix.shape[0]))
+        ids = list(range(self.count, self.count + matrix.shape[0]))
         if self._wal is not None:
             for series_id, row in zip(ids, matrix):
                 self._wal.append_insert(series_id, row)

@@ -48,7 +48,7 @@ def write_database(database: SeriesDatabase, directory: PathLike) -> None:
     entries = sorted(database.entries, key=lambda e: e.series_id)
     payload = {"representations": [to_jsonable(e.representation) for e in entries]}
     (directory / "representations.json").write_text(json.dumps(payload))
-    row_count = database._count
+    row_count = database.count
     config.update(
         {
             "reducer": database.reducer.name,

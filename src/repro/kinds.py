@@ -1,31 +1,19 @@
 """Typed constructor vocabulary: index kinds and adaptive distance modes.
 
-Historically :class:`repro.index.SeriesDatabase` took stringly-typed
-``index="dbch"`` / ``distance_mode="par"`` arguments, and a typo surfaced only
-deep inside the first query.  The enums here are the typed replacements:
 ``IndexKind`` names the index structures the paper evaluates and
 ``DistanceMode`` the adaptive-method query bounds (paper Sec. 6).  Both are
-``str`` subclasses, so existing comparisons against the old literals keep
-working and the values serialise unchanged into ``config.json``.
-
-Plain strings are still accepted everywhere — the coercers below translate
-them eagerly (raising on unknown values instead of failing mid-query) and
-emit a :class:`DeprecationWarning` steering callers to the enums.
+``str`` subclasses whose values are what ``config.json``, ``sharding.json``
+and the CLI carry, so a value read back from any of them converts with the
+enum's own constructor — ``IndexKind(value)`` / ``DistanceMode(value)`` —
+which raises ``ValueError`` on a typo at construction time instead of
+failing mid-query.
 """
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
-from typing import Optional, Union
 
-__all__ = [
-    "IndexKind",
-    "DistanceMode",
-    "coerce_index_kind",
-    "coerce_distance_mode",
-    "suite_distance_mode",
-]
+__all__ = ["IndexKind", "DistanceMode", "suite_distance_mode"]
 
 
 class IndexKind(str, Enum):
@@ -57,63 +45,6 @@ class DistanceMode(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def coerce_index_kind(value: "Union[IndexKind, str, None]") -> "Optional[IndexKind]":
-    """Normalise an index argument to an :class:`IndexKind` (or ``None``).
-
-    ``None`` and ``IndexKind.NONE`` both mean "no tree" and normalise to
-    ``None``.  Plain strings are accepted for backwards compatibility but
-    emit a :class:`DeprecationWarning`; unknown values raise ``ValueError``
-    immediately instead of at query time.
-    """
-    if value is None:
-        return None
-    if isinstance(value, IndexKind):
-        return None if value is IndexKind.NONE else value
-    if isinstance(value, str):
-        try:
-            kind = IndexKind(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown index kind: {value!r} (expected one of "
-                f"{[k.value for k in IndexKind]} or None)"
-            ) from None
-        warnings.warn(
-            f"passing index={value!r} as a string is deprecated; "
-            f"use repro.IndexKind.{kind.name}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return None if kind is IndexKind.NONE else kind
-    raise ValueError(f"unknown index kind: {value!r}")
-
-
-def coerce_distance_mode(value: "Union[DistanceMode, str]") -> DistanceMode:
-    """Normalise a distance-mode argument to a :class:`DistanceMode`.
-
-    Plain strings are accepted but deprecated; unknown values raise
-    ``ValueError`` eagerly so a typo cannot survive until the first
-    adaptive-method query.
-    """
-    if isinstance(value, DistanceMode):
-        return value
-    if isinstance(value, str):
-        try:
-            mode = DistanceMode(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown adaptive distance mode: {value!r} (expected one of "
-                f"{[m.value for m in DistanceMode]})"
-            ) from None
-        warnings.warn(
-            f"passing distance_mode={value!r} as a string is deprecated; "
-            f"use repro.DistanceMode.{mode.name}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return mode
-    raise ValueError(f"unknown adaptive distance mode: {value!r}")
 
 
 def suite_distance_mode(reported) -> DistanceMode:

@@ -4,8 +4,11 @@ The paper's databases are disk-resident and long-lived; this package is the
 layer that lets them *stay* long-lived under a continuous stream of inserts
 and deletes:
 
-* :mod:`~repro.lifecycle.wal` — checksummed, length-prefixed write-ahead
-  log with a typed :class:`DurabilityOptions` fsync policy;
+* :mod:`~repro.lifecycle.recordfile` — the checksummed, length-prefixed
+  record file (torn-tail-tolerant replay, typed :class:`DurabilityOptions`
+  fsync policy) under both this package's WAL and the subscription log;
+* :mod:`~repro.lifecycle.wal` — the write-ahead log: ops, LSNs and their
+  binary codec on top of a record file;
 * :mod:`~repro.lifecycle.recovery` — torn-tail-tolerant, idempotent replay
   on :func:`repro.io.open_database`;
 * :mod:`~repro.lifecycle.maintenance` — :func:`checkpoint` folds the log
@@ -42,8 +45,8 @@ __all__ = [
 
 #: export name -> defining submodule (resolved lazily via PEP 562)
 _LOCATIONS = {
-    "DurabilityOptions": "wal",
-    "FsyncPolicy": "wal",
+    "DurabilityOptions": "recordfile",
+    "FsyncPolicy": "recordfile",
     "WAL_FILENAME": "wal",
     "WalError": "wal",
     "WalRecord": "wal",

@@ -102,7 +102,7 @@ def checkpoint(db, directory: "Optional[PathLike]" = None) -> CheckpointReport:
     db._flush_pending()
     with obs.span("lifecycle.checkpoint"):
         db.save(home)
-        row_count = db._count
+        row_count = db.count
         folded = _fold_wal(db, home, row_count)
     return CheckpointReport(
         directory=str(home),
@@ -128,7 +128,7 @@ def compact(db, directory: "Optional[PathLike]" = None) -> CompactionReport:
         raise ValueError("cannot compact a database with no live series")
     pairs = sorted((e.series_id, e.representation) for e in db.entries)
     live = [sid for sid, _ in pairs]
-    rows_before = db._count
+    rows_before = db.count
     row_bytes = db.data.shape[1] * 8
     data_bytes_before = rows_before * row_bytes
     with obs.span("lifecycle.compact"):

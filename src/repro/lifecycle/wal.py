@@ -1,39 +1,31 @@
-"""Checksummed, length-prefixed write-ahead log for mutable databases.
+"""The write-ahead log for mutable databases: ops, LSNs and their codec.
 
 Every ``insert``/``delete`` against a durably-opened database appends one
 record here *before* the in-memory (or paged) state changes, so a crash at
-any instant loses at most the un-fsynced tail.  The format is deliberately
-boring — the property that matters is that replay can always tell a
-committed record from a torn one:
+any instant loses at most the un-fsynced tail.  The file itself — magic,
+length/CRC framing, torn-tail-tolerant replay, truncate-on-open, the fsync
+policy — is a :class:`repro.lifecycle.recordfile.RecordFile`; this module
+owns what goes *inside* a record:
 
-``file  = magic (8 bytes) ·  record*``
-``record = length u32 LE · crc32(payload) u32 LE · payload``
 ``payload = op u8 · lsn u64 LE · op-specific body``
 
 Bodies: ``insert`` carries ``series_id u64 · n u32 · n float64`` raw values,
 ``delete`` carries ``series_id u64``, ``checkpoint`` carries the folded row
 count ``u64``.  LSNs increase monotonically and survive :meth:`~WriteAheadLog.reset`
 (truncation after a checkpoint), so record ordering is globally unambiguous.
-
-Replay (:func:`read_wal`) is torn-tail tolerant: it stops at the first
-record whose length prefix, payload or CRC is incomplete or wrong and
-reports the dropped byte count; opening the log for append truncates that
-tail so new records never interleave with garbage.
 """
 
 from __future__ import annotations
 
-import enum
-import os
 import pathlib
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import obs
+from .recordfile import RECORD_OVERHEAD, DurabilityOptions, FsyncPolicy, RecordFile
 
 __all__ = [
     "DurabilityOptions",
@@ -52,7 +44,6 @@ MAGIC = b"RPWAL\x00\x01\n"
 #: default WAL filename inside a database directory.
 WAL_FILENAME = "wal.log"
 
-_PREFIX = struct.Struct("<II")  # payload length, crc32(payload)
 _HEAD = struct.Struct("<BQ")  # op, lsn
 _INSERT_HEAD = struct.Struct("<QI")  # series_id, n
 _U64 = struct.Struct("<Q")
@@ -61,52 +52,10 @@ _U64 = struct.Struct("<Q")
 _MAX_PAYLOAD = 64 * 1024 * 1024
 
 OP_INSERT, OP_DELETE, OP_CHECKPOINT = 1, 2, 3
-_OP_NAMES = {OP_INSERT: "insert", OP_DELETE: "delete", OP_CHECKPOINT: "checkpoint"}
 
 
 class WalError(ValueError):
     """A structurally invalid WAL file (bad magic, impossible record)."""
-
-
-class FsyncPolicy(str, enum.Enum):
-    """When appended records are forced to stable storage.
-
-    ``ALWAYS`` fsyncs after every append — every acknowledged mutation is
-    committed.  ``BATCH`` fsyncs every :attr:`DurabilityOptions.batch_records`
-    appends (and on checkpoint/close) — bounded loss, much higher
-    throughput.  ``NEVER`` leaves flushing to the OS — durability only at
-    checkpoints.
-    """
-
-    ALWAYS = "always"
-    BATCH = "batch"
-    NEVER = "never"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class DurabilityOptions:
-    """Typed durability configuration for a mutable database.
-
-    Args:
-        wal: write a WAL at all; ``False`` trades crash safety for raw
-            ingest throughput (recoverable state is then the last
-            checkpoint only).
-        fsync: a :class:`FsyncPolicy` (or its string value).
-        batch_records: under ``FsyncPolicy.BATCH``, fsync once per this
-            many appended records.
-    """
-
-    wal: bool = True
-    fsync: "Union[FsyncPolicy, str]" = FsyncPolicy.BATCH
-    batch_records: int = 64
-
-    def __post_init__(self):
-        object.__setattr__(self, "fsync", FsyncPolicy(self.fsync))
-        if self.batch_records < 1:
-            raise ValueError("batch_records must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,8 +75,6 @@ def _decode(payload: bytes) -> WalRecord:
     if op == OP_INSERT:
         series_id, n = _INSERT_HEAD.unpack_from(body, 0)
         values = np.frombuffer(body, dtype="<f8", count=n, offset=_INSERT_HEAD.size)
-        if len(values) != n:
-            raise WalError("insert record body shorter than its declared length")
         return WalRecord(lsn=lsn, op="insert", series_id=int(series_id), series=values.copy())
     if op == OP_DELETE:
         (series_id,) = _U64.unpack_from(body, 0)
@@ -138,28 +85,19 @@ def _decode(payload: bytes) -> WalRecord:
     raise WalError(f"unknown WAL op {op}")
 
 
-def _scan(raw: bytes) -> "Tuple[List[WalRecord], int]":
-    """Decode records from ``raw`` (past the magic); returns
-    ``(records, valid_end)`` where ``valid_end`` is the offset of the first
-    torn/invalid byte (== ``len(raw)`` for a clean log)."""
-    records: "List[WalRecord]" = []
-    offset = 0
-    while True:
-        if offset + _PREFIX.size > len(raw):
-            break
-        length, crc = _PREFIX.unpack_from(raw, offset)
-        if length < _HEAD.size or length > _MAX_PAYLOAD:
-            break
-        start = offset + _PREFIX.size
-        payload = raw[start : start + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            break
-        try:
-            records.append(_decode(payload))
-        except (WalError, struct.error):
-            break
-        offset = start + length
-    return records, offset
+def _record_file(path: PathLike, options: "Optional[DurabilityOptions]" = None) -> RecordFile:
+    return RecordFile(path, MAGIC, _MAX_PAYLOAD, _decode, options, error=WalError)
+
+
+def _replayed(scan) -> "Tuple[List[WalRecord], int]":
+    """Run one record-file ``scan`` (read or open) under the replay metrics."""
+    with obs.span("wal.replay"):
+        records, torn = scan()
+    if obs.is_enabled():
+        obs.count("wal.records_replayed", len(records))
+        if torn:
+            obs.count("wal.torn_bytes", torn)
+    return records, torn
 
 
 def read_wal(path: PathLike) -> "Tuple[List[WalRecord], int]":
@@ -170,22 +108,7 @@ def read_wal(path: PathLike) -> "Tuple[List[WalRecord], int]":
     :class:`WalError` (it is not a log at all — replaying it would be
     worse than failing).
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [], 0
-    blob = path.read_bytes()
-    if len(blob) < len(MAGIC):
-        return [], len(blob)  # torn before the header finished
-    if blob[: len(MAGIC)] != MAGIC:
-        raise WalError(f"{path} does not start with the WAL magic")
-    with obs.span("wal.replay"):
-        records, valid_end = _scan(blob[len(MAGIC) :])
-    torn = len(blob) - len(MAGIC) - valid_end
-    if obs.is_enabled():
-        obs.count("wal.records_replayed", len(records))
-        if torn:
-            obs.count("wal.torn_bytes", torn)
-    return records, torn
+    return _replayed(_record_file(path).read)
 
 
 class WriteAheadLog:
@@ -198,11 +121,10 @@ class WriteAheadLog:
     """
 
     def __init__(self, path: PathLike, options: "Optional[DurabilityOptions]" = None):
-        self.path = pathlib.Path(path)
-        self.options = options if options is not None else DurabilityOptions()
+        self._file = _record_file(path, options)
+        self.path = self._file.path
+        self.options = self._file.options
         self.last_lsn = 0
-        self._handle = None
-        self._unsynced = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -211,18 +133,8 @@ class WriteAheadLog:
     ) -> "WriteAheadLog":
         """Open ``path`` for appending, creating it or trimming a torn tail."""
         wal = cls(path, options)
-        if wal.path.exists() and wal.path.stat().st_size >= len(MAGIC):
-            records, torn = read_wal(wal.path)
-            wal.last_lsn = records[-1].lsn if records else 0
-            valid_size = wal.path.stat().st_size - torn
-            wal._handle = open(wal.path, "r+b")
-            if torn:
-                wal._handle.truncate(valid_size)
-            wal._handle.seek(valid_size)
-        else:
-            wal._handle = open(wal.path, "wb")
-            wal._handle.write(MAGIC)
-            wal._handle.flush()
+        records, _ = _replayed(wal._file.open)
+        wal.last_lsn = records[-1].lsn if records else 0
         return wal
 
     # ------------------------------------------------------------------
@@ -244,34 +156,20 @@ class WriteAheadLog:
         return lsn
 
     def _append(self, op: int, body: bytes) -> int:
-        if self._handle is None:
-            raise WalError("write-ahead log is closed")
+        payload = _HEAD.pack(op, self.last_lsn + 1) + body
+        fsynced = self._file.append(payload)
         self.last_lsn += 1
-        payload = _HEAD.pack(op, self.last_lsn) + body
-        record = _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
-        self._handle.write(record)
-        self._unsynced += 1
-        policy = self.options.fsync
-        if policy is FsyncPolicy.ALWAYS:
-            self.sync()
-        elif policy is FsyncPolicy.BATCH and self._unsynced >= self.options.batch_records:
-            self.sync()
-        else:
-            self._handle.flush()
         if obs.is_enabled():
             obs.count("wal.appends")
-            obs.count("wal.bytes_written", len(record))
+            obs.count("wal.bytes_written", len(payload) + RECORD_OVERHEAD)
+            if fsynced:
+                obs.count("wal.fsyncs")
         return self.last_lsn
 
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Flush buffered records and fsync the file."""
-        if self._handle is None:
-            return
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        if self._unsynced:
-            self._unsynced = 0
+        if self._file.sync():
             obs.count("wal.fsyncs")
 
     def reset(self) -> None:
@@ -280,26 +178,16 @@ class WriteAheadLog:
         The LSN sequence continues — ordering stays unambiguous across
         truncations.
         """
-        if self._handle is None:
-            raise WalError("write-ahead log is closed")
-        self._handle.truncate(len(MAGIC))
-        self._handle.seek(len(MAGIC))
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._unsynced = 0
+        self._file.reset()
 
     def size_bytes(self) -> int:
         """Current log size (records only, excluding the magic)."""
-        if self._handle is not None:
-            self._handle.flush()
-        return max(self.path.stat().st_size - len(MAGIC), 0)
+        return self._file.size_bytes()
 
     def close(self) -> None:
         """Flush, fsync and release the file handle."""
-        if self._handle is not None:
-            self.sync()
-            self._handle.close()
-            self._handle = None
+        if self._file.close():
+            obs.count("wal.fsyncs")
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -55,8 +55,11 @@ from typing import Optional
 
 __all__ = [
     "FrameError",
+    "HEADER_BYTES",
     "MAX_FRAME_BYTES",
+    "decode_body",
     "encode_frame",
+    "frame_length",
     "read_frame",
     "read_frame_blocking",
     "error_response",
@@ -67,6 +70,9 @@ __all__ = [
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+
+#: size of the length prefix in front of every frame body
+HEADER_BYTES = _HEADER.size
 
 
 class FrameError(ValueError):
@@ -81,7 +87,21 @@ def encode_frame(message: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes
     return _HEADER.pack(len(body)) + body
 
 
-def _decode(body: bytes) -> dict:
+def frame_length(header: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
+    """The body length a complete header announces, checked against the cap.
+
+    The one length check every reader shares — the two stream readers here
+    and :class:`repro.client.TcpClient`'s owned-buffer loop.
+    """
+    (length,) = _HEADER.unpack(header)
+    if length > max_frame_bytes:
+        raise FrameError(f"frame of {length} bytes exceeds the {max_frame_bytes} cap")
+    return length
+
+
+def decode_body(body: bytes) -> dict:
+    """A complete frame body as its message; :class:`FrameError` unless it
+    is UTF-8 JSON holding an object."""
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -106,14 +126,11 @@ async def read_frame(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> "Optiona
         if not exc.partial:
             return None  # clean close between frames
         raise FrameError("connection closed mid-header") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameError(f"frame of {length} bytes exceeds the {max_frame_bytes} cap")
     try:
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(frame_length(header, max_frame_bytes))
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
-    return _decode(body)
+    return decode_body(body)
 
 
 def read_frame_blocking(stream, max_frame_bytes: int = MAX_FRAME_BYTES) -> "Optional[dict]":
@@ -123,13 +140,11 @@ def read_frame_blocking(stream, max_frame_bytes: int = MAX_FRAME_BYTES) -> "Opti
         return None  # clean close between frames
     if len(header) != _HEADER.size:
         raise FrameError("connection closed mid-header")
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameError(f"frame of {length} bytes exceeds the {max_frame_bytes} cap")
+    length = frame_length(header, max_frame_bytes)
     body = stream.read(length)
     if len(body) != length:
         raise FrameError("connection closed mid-frame")
-    return _decode(body)
+    return decode_body(body)
 
 
 def ok_response(request_id, op: str, body: "Optional[dict]" = None) -> dict:

@@ -129,12 +129,9 @@ class ReproServer:
     """
 
     def __init__(self, engine, config: "Optional[ServerConfig]" = None):
-        if isinstance(engine, ContinuousEvaluator):
-            self._continuous: "Optional[ContinuousEvaluator]" = engine
-            engine = engine.target
-        else:
-            self._continuous = None
-        self.engine = engine
+        #: the evaluator behind mutation and subscription ops
+        self.continuous = ContinuousEvaluator.over(engine)
+        self.engine = self.continuous.target
         self.config = config if config is not None else ServerConfig()
         self.port: "Optional[int]" = None
         self.peak_in_flight = 0
@@ -143,13 +140,6 @@ class ReproServer:
         self._slots: "Optional[asyncio.Semaphore]" = None
         self._waiting = 0
         self._executing = 0
-
-    @property
-    def continuous(self) -> ContinuousEvaluator:
-        """The evaluator behind mutation and subscription ops (lazy)."""
-        if self._continuous is None:
-            self._continuous = ContinuousEvaluator(self.engine)
-        return self._continuous
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -214,13 +204,10 @@ class ReproServer:
                 await asyncio.gather(*tasks, return_exceptions=True)
             for channel in list(channels.values()):
                 await self._close_channel(channel)
-            if channels and self._continuous is not None:
-                loop = asyncio.get_event_loop()
-                for sid in channels:
-                    # subscriptions die with their connection
-                    await loop.run_in_executor(
-                        self._executor, self._continuous.unsubscribe, sid
-                    )
+            loop = asyncio.get_event_loop()
+            for sid in channels:
+                # subscriptions die with their connection
+                await loop.run_in_executor(self._executor, self.continuous.unsubscribe, sid)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -415,11 +402,7 @@ class ReproServer:
                 "max_in_flight": self.config.max_in_flight,
                 "queue_depth": self.config.queue_depth,
                 "shards": getattr(self.engine, "n_shards", 1),
-                "subscriptions": (
-                    len(self._continuous.registry)
-                    if self._continuous is not None
-                    else 0
-                ),
+                "subscriptions": len(self.continuous.registry),
             }
         }
         if obs.is_enabled():

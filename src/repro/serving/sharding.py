@@ -97,7 +97,7 @@ def partition_database(db, n_shards: int, bulk: bool = False) -> "List[SeriesDat
         raise ValueError("n_shards must be >= 1")
     if db.data is None:
         raise ValueError("cannot partition a database before ingest")
-    count = db._count
+    count = db.count
     by_id = {e.series_id: e for e in db.entries}
     shards: "List[SeriesDatabase]" = []
     for s in range(n_shards):
@@ -154,7 +154,7 @@ class ShardedEngine:
         if not shards:
             raise ValueError("at least one shard is required")
         self._shards = list(shards)
-        counts = [sh._count for sh in self._shards]
+        counts = [sh.count for sh in self._shards]
         total = sum(counts)
         n = len(self._shards)
         for s, have in enumerate(counts):
@@ -235,10 +235,10 @@ class ShardedEngine:
         from ..lifecycle.maintenance import checkpoint
 
         n = len(shards)
-        total = min(sh._count * n + s for s, sh in enumerate(shards))
+        total = min(sh.count * n + s for s, sh in enumerate(shards))
         for s, shard in enumerate(shards):
             keep = _needed_rows(total, s, n)
-            if shard._count <= keep:
+            if shard.count <= keep:
                 continue
             _truncate_tail(shard, keep)
             if shard.data is not None:
@@ -269,7 +269,19 @@ class ShardedEngine:
 
     def __len__(self) -> int:
         """Number of live (non-tombstoned) series across all shards."""
-        return sum(len(sh._live_ids) for sh in self._shards)
+        return sum(len(sh) for sh in self._shards)
+
+    def live_ids(self) -> "List[int]":
+        """Every live (non-tombstoned) global series id, ascending."""
+        n = len(self._shards)
+        return sorted(
+            local * n + s for s, sh in enumerate(self._shards) for local in sh.live_ids()
+        )
+
+    def row(self, series_id: int) -> np.ndarray:
+        """One raw row by global id (tombstoned rows are still addressable)."""
+        n = len(self._shards)
+        return self._shards[series_id % n].row(series_id // n)
 
     def shard_of(self, series_id: int) -> int:
         """The shard a global series id lives in."""

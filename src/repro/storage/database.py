@@ -38,9 +38,9 @@ class DiskBackedDatabase(SeriesDatabase):
     Args:
         reducer: dimensionality reduction method.
         store_path: backing file for the raw pages.
-        index: an :class:`repro.IndexKind` (or legacy string / ``None``; see
+        index: an :class:`repro.IndexKind`, its value, or ``None`` (see
             :class:`repro.index.SeriesDatabase`).
-        distance_mode: a :class:`repro.DistanceMode` (or legacy string).
+        distance_mode: a :class:`repro.DistanceMode` or its value.
         page_size / cache_pages: storage knobs.
     """
 

@@ -2,20 +2,17 @@
 
 The same typed :class:`KnnRequest`/:class:`RangeRequest` objects must get
 the same answers from an in-process database, a saved database directory,
-a sharded home, and a live TCP server — and every legacy entry point
-(`repro.knn`, direct ``QueryEngine`` construction) must route through the
-facade with a *single-shot* ``DeprecationWarning``.
+a sharded home, and a live TCP server.
 """
 
 import asyncio
+import socket
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro._deprecations import reset_warned
 from repro.client import (
     KnnRequest,
     LocalClient,
@@ -29,17 +26,10 @@ from repro.continuous import RangeWatch
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode
 from repro.reduction import PAA
-from repro.serving import ReproServer, ServerConfig, ShardedEngine
+from repro.serving import FrameError, ReproServer, ServerConfig, ShardedEngine
 from repro.storage import DiskBackedDatabase
 
 LENGTH = 32
-
-
-@pytest.fixture
-def fresh_warnings():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 def make_db(count=24):
@@ -294,36 +284,30 @@ class TestTcpBackend:
             host.stop()
 
 
-class TestDeprecatedEntryPoints:
-    def test_free_knn_warns_once_and_routes(self, fresh_warnings):
-        db = make_db()
-        query = np.asarray(db.data)[4]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = repro.knn(db, query, k=3)
-            second = repro.knn(db, query, k=3)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1  # single-shot
-        assert "repro.client" in str(deprecations[0].message)
-        assert first.ids == second.ids == db.knn(query, 3).ids
+@pytest.mark.parametrize(
+    "body", [b"[1,2]", b"\xff\xfe", b"{not json"], ids=["not-an-object", "not-utf8", "not-json"]
+)
+def test_hostile_reply_body_is_a_frame_error(body):
+    """A reply the shared frame decoder rejects reaches the caller as
+    ``FrameError`` — never the parser's own exception."""
+    listener = socket.create_server(("127.0.0.1", 0))
 
-    def test_query_engine_construction_warns_once(self, fresh_warnings):
-        from repro.engine import QueryEngine
+    def reply_once():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(1 << 16)  # the ping request
+            conn.sendall(len(body).to_bytes(4, "big") + body)
 
-        db = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            QueryEngine(db)
-            QueryEngine(db)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_db_engine_accessor_does_not_warn(self, fresh_warnings):
-        db = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.engine().knn_batch(np.asarray(db.data)[:1])
-        assert not [w for w in caught if w.category is DeprecationWarning]
+    server = threading.Thread(target=reply_once, daemon=True)
+    server.start()
+    try:
+        with TcpClient("127.0.0.1", listener.getsockname()[1], timeout=10) as client:
+            with pytest.raises(FrameError):
+                client.ping()
+    finally:
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
 
 
 def test_importing_the_client_does_not_import_scipy():

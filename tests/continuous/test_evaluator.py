@@ -19,6 +19,7 @@ from repro.continuous import (
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.reduction import PAA
+from repro.serving import ShardedEngine
 
 LENGTH = 32
 
@@ -198,6 +199,57 @@ class TestAnomalyWatch:
         assert len(notes) == before
 
 
+BATCH_PATTERN = np.sin(np.linspace(0.0, 3.0, 8))
+
+
+def batch_rows():
+    """Eight rows that move every kind of watch in :data:`BATCH_WATCHES`."""
+    rng = np.random.default_rng(21)
+    base = np.asarray(make_db().data)[3]
+    wave = np.sin(np.linspace(0, 4 * np.pi, LENGTH))
+    rows = [base + rng.normal(scale=0.01, size=LENGTH) for _ in range(3)]
+    rows += [wave.copy() for _ in range(3)]
+    planted = rng.normal(size=LENGTH).cumsum() + 50.0
+    planted[10:18] = BATCH_PATTERN
+    spike = wave.copy()
+    spike[12:20] += 8.0
+    return np.vstack(rows + [planted, spike])
+
+
+BATCH_WATCHES = {
+    "knn": lambda base: KnnWatch(query=base, k=4),
+    "range": lambda base: RangeWatch(query=base, radius=1.0),
+    "subsequence": lambda base: SubsequenceWatch(pattern=BATCH_PATTERN, radius=0.5),
+    "anomaly": lambda base: AnomalyWatch(window=8, threshold=0.8, stride=2, history=32),
+}
+BATCH_TARGETS = {
+    "memory": make_db,
+    "sharded2": lambda: ShardedEngine.from_database(make_db(), 2),
+}
+
+
+class TestInsertBatch:
+    @pytest.mark.parametrize("target", BATCH_TARGETS)
+    @pytest.mark.parametrize("kind", BATCH_WATCHES)
+    def test_notifications_match_a_loop_of_insert(self, kind, target):
+        def run(ingest):
+            evaluator = ContinuousEvaluator(BATCH_TARGETS[target]())
+            base = np.asarray(make_db().data)[3]
+            sid, notes = collect(evaluator, BATCH_WATCHES[kind](base))
+            ingest(evaluator, batch_rows())
+            # everything but ``generation``: a batch lands whole, so its
+            # notifications all carry the post-batch generation
+            return [
+                (n.seq, n.kind, n.ids, n.distances, n.added, n.removed, n.matches, n.alert, n.full)
+                for n in notes
+            ]
+
+        looped = run(lambda evaluator, rows: [evaluator.insert(row) for row in rows])
+        batched = run(lambda evaluator, rows: evaluator.insert_batch(rows))
+        assert len(looped) > 2, "the rows never moved this watch"
+        assert batched == looped
+
+
 class TestDeliveryGuarantee:
     def test_sink_failure_leaves_the_seq_unacked_and_resync_reemits(self):
         db = make_db()
@@ -243,6 +295,47 @@ class TestDeliveryGuarantee:
         assert list(note.ids) == list(reference.ids)
         assert list(note.distances) == list(reference.distances)
         assert evaluator.refresh("sub-999999") is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [KnnWatch(query=np.zeros(LENGTH // 2), k=2), RangeWatch(query=np.zeros(LENGTH // 2), radius=1.0)],
+        ids=["knn", "range"],
+    )
+    def test_a_subscribe_the_target_rejects_leaves_no_watch_behind(self, bad):
+        db = make_db()
+        evaluator = ContinuousEvaluator(db)
+        sid, notes = collect(evaluator, KnnWatch(query=np.asarray(db.data)[1], k=3))
+        with pytest.raises(ValueError):
+            evaluator.subscribe(bad)  # wrong length: the first run raises
+        assert list(evaluator.registry.subscriptions()) == [sid]
+        evaluator.insert(np.asarray(db.data)[1] + 0.001)  # ingest keeps working
+        assert len(notes) == 2
+
+    def test_refresh_of_an_anomaly_watch_is_a_no_op_even_after_a_restart(self):
+        db = make_db(count=4)
+        evaluator = ContinuousEvaluator(db)
+        sid, notes = collect(evaluator, AnomalyWatch(window=8, threshold=0.8, stride=2))
+        evaluator.insert(np.sin(np.linspace(0, 4 * np.pi, LENGTH)))
+
+        def broken_sink(note):
+            raise ConnectionResetError("consumer went away mid-delivery")
+
+        evaluator.attach_sink(sid, broken_sink)
+        spike = np.sin(np.linspace(0, 4 * np.pi, LENGTH))
+        spike[12:20] += 8.0
+        with pytest.raises(ConnectionResetError):
+            evaluator.insert(spike)  # an alert nobody acknowledged
+        # a restart that has not resynced: the watch is rebuilt from the
+        # registry and scores only what arrives from now on
+        restarted = ContinuousEvaluator(db, evaluator.registry)
+        seq = restarted.registry.get(sid).seq
+        for each in (evaluator, restarted):
+            assert each.refresh(sid) is None  # alerts are point events
+        assert restarted.registry.get(sid).seq == seq
+        # replaying the stream for the unacked alerts is resync's job
+        emitted = restarted.resync(sid)
+        assert emitted and all(n.alert is not None for n in emitted)
+        assert emitted[0].seq == seq + 1
 
     def test_unsubscribe_stops_delivery(self):
         db = make_db()

@@ -1,8 +1,8 @@
-"""Durable subscription registry: replay, torn tails, ack semantics.
+"""Durable subscription registry: replay and ack semantics.
 
-Mirrors the WAL tests in ``tests/lifecycle``: the log must reopen to
-exactly the state it acknowledged, tolerate a record cut mid-write, and
-refuse files that are not subscription logs.
+The log must reopen to exactly the state it acknowledged.  What it shares
+with the data WAL — torn tails, corrupt prefixes, bad and torn headers,
+the fsync cadence — is in ``tests/lifecycle/test_recordfile.py``.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from repro.continuous import (
     RangeWatch,
     SubscriptionRegistry,
 )
-from repro.continuous.registry import MAGIC, _PREFIX
-from repro.lifecycle import DurabilityOptions, FsyncPolicy
 
 
 def watch(seed=0, k=3):
@@ -50,9 +48,6 @@ class TestInMemory:
         registry.ack("sub-999999", 1, None, {})  # racing unsubscribe
         assert len(registry) == 0
 
-    def test_path_is_none(self):
-        assert SubscriptionRegistry().path is None
-
 
 class TestDurableReplay:
     def test_reopen_restores_subscriptions_and_acked_state(self, tmp_path):
@@ -80,48 +75,3 @@ class TestDurableReplay:
         fresh = reopened.subscribe(watch(seed=3))
         assert fresh not in {knn_sid, range_sid, gone_sid}
         reopened.close()
-
-    def test_torn_tail_is_dropped_and_truncated(self, tmp_path):
-        log = tmp_path / "subscriptions.log"
-        registry = SubscriptionRegistry(
-            log, durability=DurabilityOptions(fsync=FsyncPolicy.ALWAYS)
-        )
-        sid = registry.subscribe(watch(), from_row=2)
-        registry.ack(sid, 1, 9, {"ids": [], "distances": []})
-        registry.close()
-        intact = log.read_bytes()
-
-        # a crash mid-append: a length/crc prefix with only half its payload
-        log.write_bytes(intact + _PREFIX.pack(64, 123456789) + b"torn")
-        reopened = SubscriptionRegistry(log)
-        sub = reopened.get(sid)
-        assert sub is not None and sub.seq == 1 and sub.generation == 9
-        # reopening truncated the garbage, so new appends replay cleanly
-        assert log.read_bytes() == intact
-        reopened.ack(sid, 2, 10, {"ids": [4], "distances": [1.0]})
-        reopened.close()
-        final = SubscriptionRegistry(log)
-        assert final.get(sid).seq == 2
-        final.close()
-
-    def test_corrupt_length_prefix_stops_replay(self, tmp_path):
-        log = tmp_path / "subscriptions.log"
-        registry = SubscriptionRegistry(log)
-        sid = registry.subscribe(watch())
-        registry.close()
-        intact = log.read_bytes()
-        log.write_bytes(intact + _PREFIX.pack(1 << 30, 0))  # claims a gigabyte
-        reopened = SubscriptionRegistry(log)
-        assert reopened.get(sid) is not None
-        reopened.close()
-
-    def test_bad_magic_is_rejected(self, tmp_path):
-        bogus = tmp_path / "subscriptions.log"
-        bogus.write_bytes(b"not-a-subscription-log")
-        with pytest.raises(ValueError, match="bad magic"):
-            SubscriptionRegistry(bogus)
-
-    def test_magic_prefix_is_written(self, tmp_path):
-        log = tmp_path / "subscriptions.log"
-        SubscriptionRegistry(log).close()
-        assert log.read_bytes() == MAGIC

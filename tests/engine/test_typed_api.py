@@ -1,24 +1,18 @@
-"""The typed surface: IndexKind / DistanceMode enums and string deprecation.
+"""The typed surface: IndexKind / DistanceMode enums and their string values.
 
-Pins the compatibility contract: legacy string arguments keep working but
-emit ``DeprecationWarning``, unknown values fail eagerly, and the enums
-serialise as their plain string values.
+Pins the contract: the enums' string values (what configs, manifests and
+the CLI carry) convert through the enum constructors, unknown values fail
+eagerly, and the enums serialise as their plain string values.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.distance.suite import make_suite
 from repro.index import SeriesDatabase
-from repro.kinds import (
-    DistanceMode,
-    IndexKind,
-    coerce_distance_mode,
-    coerce_index_kind,
-)
+from repro.kinds import DistanceMode, IndexKind
 from repro.reduction import PAA, SAPLAReducer
 
 
@@ -35,36 +29,32 @@ class TestEnums:
 
 
 class TestCoercion:
-    def test_enum_values_pass_through_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_index_kind(IndexKind.RTREE) is IndexKind.RTREE
-            assert coerce_index_kind(None) is None
-            assert coerce_index_kind(IndexKind.NONE) is None
-            assert coerce_distance_mode(DistanceMode.AE) is DistanceMode.AE
+    def test_enums_and_their_values_normalise(self):
+        def kind_of(index):
+            return SeriesDatabase(SAPLAReducer(6), index=index).index_kind
 
-    def test_strings_coerce_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning):
-            assert coerce_index_kind("dbch") is IndexKind.DBCH
-        with pytest.warns(DeprecationWarning):
-            assert coerce_distance_mode("lb") is DistanceMode.LB
+        assert kind_of(IndexKind.RTREE) is IndexKind.RTREE
+        assert kind_of("dbch") is IndexKind.DBCH
+        assert kind_of(None) is None
+        assert kind_of(IndexKind.NONE) is None
+        assert kind_of("none") is None
+        assert DistanceMode("lb") is DistanceMode.LB
 
     @pytest.mark.parametrize("value", ["kdtree", "", "DBCH "])
     def test_unknown_index_kind_raises(self, value):
         with pytest.raises(ValueError):
-            coerce_index_kind(value)
+            SeriesDatabase(SAPLAReducer(6), index=value)
 
     @pytest.mark.parametrize("value", ["euclid", "", "PAR "])
     def test_unknown_distance_mode_raises(self, value):
         with pytest.raises(ValueError):
-            coerce_distance_mode(value)
+            make_suite(SAPLAReducer(6), value)
 
 
 class TestDatabaseSurface:
-    def test_string_arguments_warn_but_behave(self):
+    def test_string_values_behave_like_the_enums(self):
         data = np.random.default_rng(0).normal(size=(10, 32)).cumsum(axis=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = SeriesDatabase(SAPLAReducer(6), index="dbch", distance_mode="lb")
+        legacy = SeriesDatabase(SAPLAReducer(6), index="dbch", distance_mode="lb")
         typed = SeriesDatabase(
             SAPLAReducer(6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
         )

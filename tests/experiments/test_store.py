@@ -101,21 +101,6 @@ class TestSchemaGuard:
             ResultsStore(path)
 
 
-class TestExport:
-    def test_export_json_snapshot(self, tiny_spec, tmp_path):
-        with ResultsStore(tmp_path / "s.sqlite") as store:
-            experiment_id = store.create_experiment(tiny_spec)
-            store.record_trial(
-                experiment_id, expand(tiny_spec)[0], sample_report(), {"x": 1.0}
-            )
-            out = store.export_json(tmp_path / "snap.json")
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == STORE_SCHEMA_VERSION
-        assert len(payload["experiments"]) == 1
-        assert len(payload["trials"]) == 1
-        assert any(m["name"] == "x" for m in payload["metrics"])
-
-
 class TestBenchTrials:
     def test_record_bench_trial_creates_named_experiment(self, tiny_spec, tmp_path):
         path = tmp_path / "bench.sqlite"

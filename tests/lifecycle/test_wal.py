@@ -1,4 +1,8 @@
-"""WAL format, fsync policies, torn-tail tolerance."""
+"""What only the WAL has: ops, LSNs, torn-byte reporting, ``reset``.
+
+The file-level behaviour it shares with the subscription log (torn tails,
+bad magic, fsync cadence) is in ``test_recordfile.py``.
+"""
 
 import numpy as np
 import pytest
@@ -35,14 +39,7 @@ def test_missing_file_reads_empty(tmp_path):
     assert records == [] and torn == 0
 
 
-def test_non_wal_file_raises(tmp_path):
-    path = tmp_path / "junk.log"
-    path.write_bytes(b"definitely not a WAL file at all")
-    with pytest.raises(WalError):
-        read_wal(path)
-
-
-def test_torn_tail_is_dropped_and_reported(tmp_path):
+def test_torn_bytes_are_reported(tmp_path):
     path = tmp_path / "wal.log"
     with WriteAheadLog.open(path) as wal:
         wal.append_insert(0, np.ones(4))
@@ -53,19 +50,15 @@ def test_torn_tail_is_dropped_and_reported(tmp_path):
     records, torn = read_wal(path)
     assert len(records) == 2
     assert torn == 7
+    path.write_bytes(MAGIC[:3])  # torn inside the header: all of it is torn
+    assert read_wal(path) == ([], 3)
 
 
-def test_corrupt_crc_stops_replay_at_the_flip(tmp_path):
-    path = tmp_path / "wal.log"
-    with WriteAheadLog.open(path) as wal:
-        wal.append_insert(0, np.ones(4))
-        wal.append_insert(1, np.ones(4))
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF  # flip one payload byte of the second record
-    path.write_bytes(bytes(blob))
-    records, torn = read_wal(path)
-    assert len(records) == 1
-    assert torn > 0
+def test_non_wal_file_raises_wal_error(tmp_path):
+    path = tmp_path / "junk.log"
+    path.write_bytes(b"definitely not a WAL file at all")
+    with pytest.raises(WalError):
+        read_wal(path)
 
 
 def test_open_truncates_torn_tail_and_resumes_lsn(tmp_path):
@@ -111,26 +104,3 @@ class TestDurabilityOptions:
     def test_bad_batch_rejected(self):
         with pytest.raises(ValueError):
             DurabilityOptions(batch_records=0)
-
-    def test_policies_control_fsync_cadence(self, tmp_path, monkeypatch):
-        import repro.lifecycle.wal as wal_mod
-
-        calls = []
-        monkeypatch.setattr(wal_mod.os, "fsync", lambda fd: calls.append(fd))
-        with WriteAheadLog.open(
-            tmp_path / "a.log", DurabilityOptions(fsync=FsyncPolicy.ALWAYS)
-        ) as wal:
-            wal.append_delete(1)
-            wal.append_delete(2)
-        always = len(calls)
-        calls.clear()
-        with WriteAheadLog.open(
-            tmp_path / "b.log", DurabilityOptions(fsync=FsyncPolicy.BATCH, batch_records=2)
-        ) as wal:
-            wal.append_delete(1)
-            batched_after_one = len(calls)
-            wal.append_delete(2)
-            batched_after_two = len(calls)
-        assert always >= 2  # one per append (close may add one)
-        assert batched_after_one == 0
-        assert batched_after_two == 1

@@ -94,7 +94,7 @@ def test_sigkill_mid_ingest_loses_nothing_acknowledged(tmp_path, kill_after):
     assert set(acked) <= set(range(count))
     assert len(recovered) == count  # no deletes in this stream
     # shard counts form exactly the round-robin split of the prefix
-    assert [s._count for s in recovered.shards] == [
+    assert [s.count for s in recovered.shards] == [
         len(range(s, count, N_SHARDS)) for s in range(N_SHARDS)
     ]
 
@@ -125,7 +125,7 @@ def test_double_recovery_is_idempotent(tmp_path):
     first = ShardedEngine.open(home)
     second = ShardedEngine.open(home)
     assert first.count == second.count
-    assert [s._count for s in first.shards] == [s._count for s in second.shards]
+    assert [s.count for s in first.shards] == [s.count for s in second.shards]
 
 
 def test_recovery_then_checkpoint_clears_the_logs(tmp_path):

@@ -132,7 +132,7 @@ class TestPartitionAndMutation:
     def test_round_robin_placement(self):
         db = build("PAA", None, DistanceMode.PAR, dataset(count=10))
         shards = partition_database(db, 3)
-        assert [s._count for s in shards] == [4, 3, 3]
+        assert [s.count for s in shards] == [4, 3, 3]
         for s, shard in enumerate(shards):
             expected = np.asarray(db.data)[s::3]
             np.testing.assert_array_equal(np.asarray(shard.data), expected)
@@ -254,7 +254,7 @@ class TestPersistence:
 
         recovered = ShardedEngine.open(home)
         assert recovered.count == 10
-        assert [s._count for s in recovered.shards] == [4, 3, 3]
+        assert [s.count for s in recovered.shards] == [4, 3, 3]
         reference = build("PAA", None, DistanceMode.PAR, data)
         assert_batches_identical(
             reference.knn_batch(data[:3], QueryOptions(k=5)),
