@@ -6,9 +6,11 @@ bit-identical representations (the ``transform_batch`` contract), and
 writes a JSON report with per-reducer timings and speedups.
 
 ``--report`` defaults to ``benchmarks/results/reduction_batch.report.json``
-(the committed artifact ``make verify-reduction`` regenerates); sizes are
-tunable with ``--rows``/``--length``/``--budget``/``--repeats``.  Run from
-the repo root:
+(the committed artifact; ``make verify-reduction`` writes its own copy under
+``/tmp``); sizes are tunable with ``--rows``/``--length``/``--budget``/
+``--repeats``.  SAPLA's batch path is a lock-step kernel over blocks of 128
+rows, so it is measured at ``--sapla-rows`` (default 1024): a few dozen rows
+cannot show what a block amortises.  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_reduction_batch.py
 """
@@ -80,6 +82,7 @@ def bench_reducer(name: str, matrix: np.ndarray, budget: int, repeats: int) -> d
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=40)
+    parser.add_argument("--sapla-rows", type=int, default=1024)
     parser.add_argument("--length", type=int, default=256)
     parser.add_argument("--budget", type=int, default=12)
     parser.add_argument("--repeats", type=int, default=3)
@@ -87,17 +90,19 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    matrix = np.cumsum(rng.normal(size=(args.rows, args.length)), axis=1)
+    rows = {name: args.rows for name in REDUCERS}
+    rows["SAPLA"] = args.sapla_rows
+    matrix = np.cumsum(rng.normal(size=(max(rows.values()), args.length)), axis=1)
 
     results = {}
     for name in sorted(REDUCERS):
         # APLA's O(n^2) error matrix makes full-length rows impractical;
         # bench it on a shorter prefix, as the paper's figures do
-        bench_matrix = matrix[:, :64] if name == "APLA" else matrix
+        bench_matrix = matrix[: rows[name], :64] if name == "APLA" else matrix[: rows[name]]
         results[name] = bench_reducer(name, bench_matrix, args.budget, args.repeats)
-        results[name]["length"] = bench_matrix.shape[1]
+        results[name]["rows"], results[name]["length"] = bench_matrix.shape
         print(
-            f"{name:7s} n={bench_matrix.shape[1]:4d} "
+            f"{name:7s} {bench_matrix.shape[0]:4d} x {bench_matrix.shape[1]:4d} "
             f"scalar {results[name]['scalar_ms']:9.3f} ms  "
             f"batch {results[name]['batch_ms']:9.3f} ms  "
             f"x{results[name]['speedup']}"
@@ -106,6 +111,7 @@ def main() -> int:
     report = {
         "meta": {
             "rows": args.rows,
+            "sapla_rows": args.sapla_rows,
             "length": args.length,
             "budget": args.budget,
             "repeats": args.repeats,

@@ -27,6 +27,7 @@ from .linefit import SeriesStats
 
 __all__ = [
     "window_lines",
+    "reconstruction_areas",
     "split_point_areas",
     "adjacent_pair_areas",
     "segment_bounds_vector",
@@ -116,6 +117,18 @@ def areas_between_lines(
     return np.where(t1 == 0.0, 0.0, area)
 
 
+def reconstruction_areas(am, bm, al, bl, ar, br, left_lengths, right_lengths) -> np.ndarray:
+    """Vectorised :func:`repro.core.areas.reconstruction_area`: the area
+    between a whole line ``(am, bm)`` and its left ``(al, bl)`` / right
+    ``(ar, br)`` sub-segment lines, the right one in its own local frame."""
+    left_area = areas_between_lines(am, bm, al, bl, (left_lengths - 1).astype(float))
+    offset = left_lengths.astype(float)
+    right_area = areas_between_lines(
+        am, am * offset + bm, ar, br, (right_lengths - 1).astype(float)
+    )
+    return left_area + right_area
+
+
 def split_point_areas(stats: SeriesStats, segment) -> np.ndarray:
     """Reconstruction Areas of every split ``[start, t] + [t+1, end]``.
 
@@ -131,13 +144,9 @@ def split_point_areas(stats: SeriesStats, segment) -> np.ndarray:
     )
     al, bl = window_lines(stats, start, candidates)
     ar, br = window_lines(stats, candidates + 1, end)
-    left_lengths = candidates - start + 1
-    left_area = areas_between_lines(am, bm, al, bl, (left_lengths - 1).astype(float))
-    offset = left_lengths.astype(float)
-    right_area = areas_between_lines(
-        am, am * offset + bm, ar, br, (end - candidates - 1).astype(float)
+    return reconstruction_areas(
+        am, bm, al, bl, ar, br, candidates - start + 1, end - candidates
     )
-    return left_area + right_area
 
 
 def adjacent_pair_areas(stats: SeriesStats, segments) -> np.ndarray:
@@ -157,13 +166,7 @@ def adjacent_pair_areas(stats: SeriesStats, segments) -> np.ndarray:
     al, bl = ra[:-1], rb[:-1]
     ar, br = ra[1:], rb[1:]
     am, bm = window_lines(stats, starts[:-1], ends[1:])
-    left_lengths = lengths[:-1]
-    left_area = areas_between_lines(am, bm, al, bl, (left_lengths - 1).astype(float))
-    offset = left_lengths.astype(float)
-    right_area = areas_between_lines(
-        am, am * offset + bm, ar, br, (lengths[1:] - 1).astype(float)
-    )
-    return left_area + right_area
+    return reconstruction_areas(am, bm, al, bl, ar, br, lengths[:-1], lengths[1:])
 
 
 def segment_bounds_vector(values: np.ndarray, segments) -> np.ndarray:

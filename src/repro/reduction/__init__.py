@@ -4,7 +4,6 @@ from .apca import APCA
 from .apla import APLA, error_matrix
 from .auto import SelectionReport, select_method
 from .base import Reducer, SegmentReducer, equal_length_bounds, reduce_rows
-from .batch import batch_paa, batch_pla
 from .cheby import CHEBY, ChebyshevRepresentation
 from .error_bounded import ErrorBoundedPLA
 from .one_d_sax import OneDSAX, OneDSAXRepresentation
@@ -40,8 +39,6 @@ __all__ = [
     "OneDSAX",
     "OneDSAXRepresentation",
     "gaussian_breakpoints",
-    "batch_paa",
-    "batch_pla",
     "ErrorBoundedPLA",
     "SelectionReport",
     "select_method",

@@ -65,7 +65,7 @@ class Reducer(ABC):
     # ------------------------------------------------------------------
     # batch path
     # ------------------------------------------------------------------
-    def transform_batch(self, data: np.ndarray, parallelism: int = 1) -> "List[Any]":
+    def transform_batch(self, data: np.ndarray) -> "List[Any]":
         """Reduce every row of a ``(count, n)`` matrix.
 
         Bit-identical to ``[self.transform(row) for row in data]`` for every
@@ -73,21 +73,11 @@ class Reducer(ABC):
         :meth:`_transform_batch_rows` with array-at-a-time arithmetic that
         replicates the scalar operation order exactly; the base fallback runs
         the per-row loop (counted as ``reduce.scalar_fallback``).
-
-        ``parallelism > 1`` opts large batches into a ``fork`` fan-out that
-        reuses the engine's shared-memory worker-pool idiom; it degrades to
-        the sequential path when unavailable.
         """
         matrix = self._validated_matrix(data)
         with obs.span("reduce.batch"):
             obs.count("reduce.batch_calls")
             obs.count("reduce.batch_rows", matrix.shape[0])
-            if parallelism > 1:
-                from .fanout import transform_rows_parallel
-
-                results = transform_rows_parallel(self, matrix, parallelism)
-                if results is not None:
-                    return results
             return self._transform_batch_rows(matrix)
 
     def _transform_batch_rows(self, matrix: np.ndarray) -> "List[Any]":
