@@ -1,8 +1,21 @@
 """Bulk loading for the R-tree (STR packing) and the DBCH-tree.
 
-Incremental insertion is what the paper measures (Fig. 14a), but a database
-ingesting a whole collection at once wants packed trees: better fill factors
-and far fewer node splits.
+Incremental insertion is what the paper measures (Fig. 14a), so
+``SeriesDatabase.ingest`` keeps it as its default and the paper-figure
+paths grow their trees that way.  A database building a tree over a whole
+entry set at once wants packed trees instead: better fill factors, far
+fewer node splits, and no insert-path distance memo.  Every rebuild of an
+entry set that is already known packs:
+
+* ``ingest(..., bulk=True)``;
+* a reopen (``repro.io.open_database``, memory and disk homes), once,
+  after the write-ahead log has been replayed into the entries;
+* compaction (``repro.lifecycle.compact``);
+* partitioning into shards and the sharded crash repair
+  (``repro.serving.sharding``).
+
+Each of those builds exactly the tree ``ingest(live rows, representations,
+live_ids, bulk=True)`` builds over the same live entries in id order.
 
 * R-tree: Sort-Tile-Recursive (Leutenegger et al. 1997) — sort by the first
   feature dimension, tile into vertical slabs, sort each slab by the second

@@ -297,7 +297,7 @@ class SeriesDatabase(MutableDatabase):
         self.tree = None
         self._weights: Optional[np.ndarray] = None
         #: the columnar representation store ``[sids buffer, stacked layout]``
-        #: behind :meth:`stacked_entries`: built at ``_install``, appended to
+        #: behind :meth:`stacked_entries`: built at ``_adopt``, appended to
         #: by inserts, dropped (and rebuilt on next use) by deletes.
         self._rep_cache = None
         self._engine = None
@@ -346,9 +346,22 @@ class SeriesDatabase(MutableDatabase):
         ``bulk=True`` packs the tree bottom-up (STR for the R-tree,
         distance-ordered packing for the DBCH-tree) instead of inserting
         incrementally.  ``live_ids`` restricts indexing to those row ids —
-        the persistence layer uses it to reopen a database whose other rows
-        are tombstoned.
+        partitioning and sharded crash repair use it to rebuild a database
+        whose other rows are tombstoned.
         """
+        with obs.span("db.ingest"):
+            self._load(data, representations, live_ids)
+            self._build_index(bulk)
+
+    def _load(
+        self,
+        data: np.ndarray,
+        representations: "Optional[list]" = None,
+        live_ids: "Optional[List[int]]" = None,
+    ) -> None:
+        """:meth:`ingest` without the index: validate, reduce the rows that
+        carry no representation, adopt the rows and their entries.  A
+        reopen loads, replays its WAL, then builds the index once."""
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ValueError("ingest expects a (count, n) array of series")
@@ -366,34 +379,45 @@ class SeriesDatabase(MutableDatabase):
                 if live_ids is None
                 else "one representation per live series is required"
             )
-        with obs.span("db.ingest"):
-            if representations is None:
-                representations = reduce_rows(
-                    self.reducer, data if live_ids is None else data[np.array(ids, dtype=int)]
-                )
-            entries = list(map(self._entry, ids, representations))
-            self._rows.adopt(data)
-            self._install(entries, bulk)
+        if representations is None:
+            representations = reduce_rows(
+                self.reducer, data if live_ids is None else data[np.array(ids, dtype=int)]
+            )
+        self._rows.adopt(data)
+        self._adopt(list(map(self._entry, ids, representations)))
 
     def _entry(self, series_id: int, representation) -> Entry:
         budget = getattr(self.reducer, "n_segments", None)
         return Entry(series_id, representation, feature_vector(representation, budget))
 
-    def _install(self, entries: "List[Entry]", bulk: bool = False) -> None:
-        """Adopt ``entries`` over the rows already in the row store and
-        (re)build the index.  Shared by ``ingest`` (and through it
-        compaction) and the disk-backed reopen path.
+    def _adopt(self, entries: "List[Entry]") -> None:
+        """Take ``entries`` (ascending ids) as the live set over the rows
+        already in the row store: entry list, live ids, columnar store and
+        generation.  The tree is dropped; :meth:`_build_index` builds the
+        next one, so a reopen can replay its WAL into entries alone first.
         """
         self.entries = entries
         self._live_ids = {e.series_id for e in entries}
         self._rep_cache = None
+        self.tree = None
         with self._mutate_lock:
             self._pending = []
             self._generation += 1
         self.stacked_entries()
+
+    def _build_index(self, bulk: bool) -> None:
+        """Build the configured tree over the live entries, in id order.
+
+        ``bulk=True`` packs it bottom-up (see :mod:`repro.index.bulk`):
+        every rebuild of an entry set that is already known — a reopen
+        after WAL replay, compaction, partitioning, crash repair — so the
+        result is exactly the tree ``ingest(..., bulk=True)`` builds.
+        ``bulk=False`` grows it by insertion, as the paper does.  With no
+        live entry there is no tree and searches fall back to a scan.
+        """
         if not self.entries:
-            self.tree = None  # nothing to index; searches fall back to a scan
-        elif self.index_kind == IndexKind.RTREE:
+            return
+        if self.index_kind == IndexKind.RTREE:
             budget = getattr(self.reducer, "n_segments", None)
             self._weights = feature_weights(self.entries[0].representation, budget)
             if bulk:
@@ -635,7 +659,7 @@ class SeriesDatabase(MutableDatabase):
 
     # -- lifecycle hooks ------------------------------------------------
     def _apply_op(self, op: str, payload) -> None:
-        """Make one staged mutation visible in the entry list and tree."""
+        """Make one staged mutation visible in the entry list (and tree, if built)."""
         if op == "insert":
             self.entries.append(payload)
             if self.tree is not None:
@@ -672,8 +696,6 @@ class SeriesDatabase(MutableDatabase):
                     f"WAL insert for id {series_id} but the row store holds {rows} rows"
                 )
             rows = max(rows, series_id + 1)
-        if pending and self.data is None:
-            self.ingest(pending.pop(0)[1][None, :])
         if pending:
             self._land([sid for sid, _ in pending], np.vstack([s for _, s in pending]))
 

@@ -6,9 +6,11 @@ reopens it — the directory's ``config.json`` records which row store
 (``kind``) it holds.  A ``memory`` database stores its raw data as
 ``data.npz``; a ``disk`` one (:class:`repro.storage.DiskBackedDatabase`)
 keeps its paged store file next to the config instead.  Both store the
-representations as ``representations.json`` so loading re-indexes without
-re-reducing (tree structures rebuild deterministically and cheaply relative
-to the reduction pass they skip).
+representations as ``representations.json``, so loading never re-reduces a
+saved row.  The tree is not persisted: a reopen adopts the saved entries,
+replays the write-ahead log into them, and then packs the index once over
+the live entries (:mod:`repro.index.bulk`) — the same tree a fresh
+``ingest(..., bulk=True)`` of those rows builds.
 """
 
 from __future__ import annotations
@@ -76,9 +78,11 @@ def open_database(directory: PathLike, durability=None):
 
     If the directory contains a write-ahead log, its committed records past
     the last checkpoint are replayed before the database is returned —
-    inserts are re-transformed through the reducer and re-indexed, deletes
-    re-applied — so a crash mid-ingest reopens to exactly the acknowledged
-    state.  Passing a :class:`repro.lifecycle.DurabilityOptions` (or
+    inserted rows land in the row store and are reduced in batch passes,
+    deletes drop their entries — so a crash mid-ingest reopens to exactly
+    the acknowledged state.  Replay runs with no tree present; the index is
+    packed once afterwards over the live entries in id order.  Passing a
+    :class:`repro.lifecycle.DurabilityOptions` (or
     ``DurabilityOptions()`` by leaving a WAL in place) keeps the database
     durable: subsequent ``insert``/``delete`` calls append to the log.
     """
@@ -113,7 +117,7 @@ def open_database(directory: PathLike, durability=None):
         )
         with np.load(directory / "data.npz", allow_pickle=False) as archive:
             data = archive["data"]
-        database.ingest(data, representations=representations, live_ids=live_ids)
+        database._load(data, representations=representations, live_ids=live_ids)
         base_count = len(data)
     database._home = directory
     from ..lifecycle.wal import WAL_FILENAME, DurabilityOptions, WriteAheadLog
@@ -123,6 +127,7 @@ def open_database(directory: PathLike, durability=None):
         from ..lifecycle.recovery import recover_database
 
         recover_database(database, wal_path, base_count)
+    database._build_index(bulk=True)
     wants_wal = durability.wal if durability is not None else had_wal
     if wants_wal:
         database.attach_wal(

@@ -13,8 +13,9 @@ The two maintenance operations here close that loop:
   append-only *between* compactions; a compaction is the explicit point
   where they are re-packed).  The row store rewrites the survivors (a paged
   store through a temporary file that atomically replaces it), the index is
-  rebuilt from the surviving representations (no re-reduction), and the
-  report says how many data bytes came back.
+  packed once from the surviving representations (no re-reduction; the
+  same tree a fresh ``ingest(..., bulk=True)`` builds), and the report
+  says how many data bytes came back.
 
 Both refuse to run while snapshots are pinned — the physical state must
 match the logical one before it is persisted.
@@ -133,7 +134,9 @@ def compact(db, directory: "Optional[PathLike]" = None) -> CompactionReport:
     data_bytes_before = rows_before * row_bytes
     with obs.span("lifecycle.compact"):
         # re-ingesting the survivors has the row store rewrite itself
-        db.ingest(gather_rows(db.data, live), representations=[rep for _, rep in pairs])
+        db.ingest(
+            gather_rows(db.data, live), representations=[rep for _, rep in pairs], bulk=True
+        )
         reclaimed = (rows_before - len(live)) * row_bytes
         home = getattr(db, "_home", None) if directory is None else pathlib.Path(directory)
         if home is not None:

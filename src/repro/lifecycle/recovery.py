@@ -9,11 +9,14 @@ truncation) never corrupts state:
   are already folded into the saved state and are skipped;
 * the remaining inserts are re-applied in LSN order — the raw row lands in
   the database's row store (appended to the memory buffer, or rewritten
-  onto its page, which also heals torn page writes), and the series is
-  re-transformed through the database's reducer and re-inserted into the
-  DBCH/R-tree;
-* delete records are best-effort: deleting an id that is already gone is a
-  no-op.
+  onto its page, which also heals torn page writes), and each run of
+  consecutive inserts is reduced in one batch pass into entries and
+  columns;
+* delete records drop their entry, best-effort: deleting an id that is
+  already gone is a no-op.
+
+The reopen paths replay with no tree present and pack the index once
+afterwards, so no record pays a tree insert.
 
 The torn tail of the log (records whose CRC or length check fails) is
 reported, never replayed; under ``FsyncPolicy.ALWAYS`` the tail can only

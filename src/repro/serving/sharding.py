@@ -85,13 +85,14 @@ def _clone_empty(db) -> SeriesDatabase:
     )
 
 
-def partition_database(db, n_shards: int, bulk: bool = False) -> "List[SeriesDatabase]":
+def partition_database(db, n_shards: int) -> "List[SeriesDatabase]":
     """Split ``db`` into ``n_shards`` round-robin shards, reusing its reductions.
 
     Global row ``g`` (live or tombstoned) becomes local row ``g // n_shards``
     of shard ``g % n_shards``; stored representations are carried over so
-    partitioning never re-runs the reducer.  Works for both in-memory and
-    disk-backed sources (disk rows are materialised into memory shards).
+    partitioning never re-runs the reducer, and each shard packs its index
+    once.  Works for both in-memory and disk-backed sources (disk rows are
+    materialised into memory shards).
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -109,7 +110,7 @@ def partition_database(db, n_shards: int, bulk: bool = False) -> "List[SeriesDat
                 gather_rows(db.data, gids),
                 representations=[e.representation for _, e in live],
                 live_ids=[local for local, _ in live],
-                bulk=bulk,
+                bulk=True,
             )
         shards.append(shard)
     return shards
@@ -119,17 +120,18 @@ def _truncate_tail(shard: SeriesDatabase, keep: int) -> None:
     """Drop every row with local id >= ``keep`` (crash-repair only).
 
     Rebuilds the shard from its first ``keep`` rows, reusing the stored
-    representations of the surviving live entries.
+    representations of the surviving live entries, and packs its index.
     """
     if keep <= 0:
         shard._rows.clear()
-        shard._install([])
+        shard._adopt([])
         return
     entries = [e for e in sorted(shard.entries, key=lambda e: e.series_id) if e.series_id < keep]
     shard.ingest(
         np.array(np.asarray(shard.data)[:keep], dtype=float),
         representations=[e.representation for e in entries],
         live_ids=[e.series_id for e in entries],
+        bulk=True,
     )
 
 
@@ -218,6 +220,7 @@ class ShardedEngine:
             had_wal = wal_path.exists()
             if had_wal:
                 recover_database(shard, wal_path, 0)
+            shard._build_index(bulk=True)
             if durability is not None or had_wal:
                 directory.mkdir(parents=True, exist_ok=True)
                 shard.attach_wal(

@@ -57,21 +57,22 @@ class DiskBackedDatabase(SeriesDatabase):
         self._rows = PagedRows(store_path, page_size, cache_pages)
 
     def reopen(self, representations: list, live_ids: "Optional[list]" = None) -> None:
-        """Attach an existing store file using persisted representations.
+        """Attach an existing store file and adopt persisted representations.
 
-        Used by :func:`repro.io.open_database`: the index rebuilds purely
+        Used by :func:`repro.io.open_database`: the entries come purely
         from the stored representations — no page is read and nothing is
-        re-reduced — and subsequent verifications read pages as usual.
-        ``live_ids`` restricts the index to the series that survived
-        deletion.  The store header is authoritative for the row total,
-        which may exceed the saved one when a WAL tail is about to be
-        replayed.
+        re-reduced — and no tree is built here: the caller replays the
+        WAL into the entries first and then packs the index once; until
+        then searches scan.  ``live_ids``
+        names the series that survived deletion.  The store header is
+        authoritative for the row total, which may exceed the saved one
+        when a WAL tail is about to be replayed.
         """
         self._rows.open()
         ids = range(len(representations)) if live_ids is None else [int(i) for i in live_ids]
         if len(ids) != len(representations):
             raise ValueError("one representation per live series is required")
-        self._install(list(map(self._entry, ids, representations)))
+        self._adopt(list(map(self._entry, ids, representations)))
 
     @property
     def store(self) -> "Optional[PagedSeriesStore]":
