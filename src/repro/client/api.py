@@ -36,7 +36,9 @@ class KnnRequest:
         k: neighbours per query (>= 1).
         mode: engine execution mode (see :class:`repro.engine.ExecutionMode`).
         deadline_s: optional wall-clock budget for the whole batch.
-        lookahead: candidates verified per query per round.
+        lookahead: candidates verified per query per round by a tree walk
+            or the lazy cascade heap; a scan over sorted bounds sizes its
+            own blocks (see :class:`repro.engine.QueryOptions`).
         cascade: route representation bounds through the bound cascade.
         early_abandon: allow early-abandoning batched verification.
     """

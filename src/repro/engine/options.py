@@ -53,9 +53,9 @@ class QueryOptions:
         parallelism: worker processes for the frontier walks (1 = in
             process).  Honoured in ``AUTO``/``VECTORIZED`` mode when the raw
             data can be shared; silently sequential otherwise.
-        lookahead: candidates verified per query per round after the initial
-            ``k`` (1 reproduces the classic one-at-a-time refinement and is
-            required for verification counts to match the sequential path).
+        lookahead: candidates a tree walk or the lazy cascade heap verifies
+            per query per round after the initial ``k`` (1 keeps the classic
+            one-at-a-time refinement's counts); a sorted scan ignores it.
         cascade: evaluate bounds that have no batch form (tree nodes,
             ``DistanceMode.AE`` / CHEBY entries, the sequential baseline)
             through the :mod:`bound cascade <repro.distance.cascade>` —

@@ -12,9 +12,10 @@ alone.
 
 The verification budget is ``k`` on the first advance (the first ``k``
 survivors are always verified — the result heap is not full yet, so no
-stop rule can fire between them) and ``lookahead`` (default 1) afterwards,
-which reproduces the classic one-candidate-at-a-time refinement loop and
-its verification counts exactly.
+stop rule can fire between them).  Tree walks and the lazy cascade heap
+then take ``lookahead`` (default 1) per round, the classic one-at-a-time
+refinement loop; a sorted scan verifies blocks and replays that loop's
+stop rule over each (:class:`ScanState`), with the same answers and counts.
 
 A range query is the same walk with a different result collector
 (:class:`repro.index.knn.RangeHits`: always full, threshold fixed at the
@@ -34,10 +35,14 @@ import numpy as np
 from ..index.knn import KNNResult, TopK, _Frontier
 from ..kinds import IndexKind
 
-__all__ = ["ScanState", "TreeState", "WHOLE_RUN", "make_state", "gather_rows"]
+__all__ = ["BLOCK_ROWS", "ScanState", "TreeState", "WHOLE_RUN", "make_state", "gather_rows"]
 
 #: the ``k`` of a range walk: a first-advance budget no run can exhaust
 WHOLE_RUN = sys.maxsize
+
+#: scan block cap: at 256 points a block's gather and difference arrays stay
+#: under glibc's 128 KB mmap threshold (larger blocks grew the heap ~2 MB)
+BLOCK_ROWS = 32
 
 
 def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
@@ -122,7 +127,14 @@ class ScanState(_QueryState):
     store when there is one (every segment method: a few NumPy passes over
     all entries) and otherwise from the scalar ``query_bound`` loop;
     candidates are ordered by ``(bound, series id)`` and consumed until the
-    next bound strictly exceeds the k-th best true distance.
+    next bound strictly exceeds the k-th best true distance, in blocks:
+    ``k`` first, then the next ``min(max(k, verified), BLOCK_ROWS)`` cut to
+    bounds within the current threshold (which only falls).  :meth:`feed`
+    replays the stop rule over a block in order — the check one-row rounds
+    make between rounds — and at the first bound above the threshold the
+    query is done and the rest is discarded, unoffered and uncounted.  An
+    early-abandoned ``inf`` replays as its true distance would: that exceeds
+    the round-start threshold, which bounds every later one.
 
     Without a store (``DistanceMode.AE``, CHEBY), or when the engine asks
     for scalar bounds (``use_batch_bounds=False``: the sequential baseline,
@@ -185,16 +197,27 @@ class ScanState(_QueryState):
     def _collect(self, budget: int) -> "List[int]":
         if self._lazy is not None:
             return self._collect_lazy(budget)
-        pending: "List[int]" = []
-        while len(pending) < budget and self._pos < len(self._sids):
-            if self.topk.full and self._bounds[self._pos] > self.topk.threshold:
+        if self._advances > 1:
+            budget = min(max(self.k, self.verified), BLOCK_ROWS)
+        start = self._pos
+        cut = int(np.searchsorted(self._bounds, self.topk.threshold, "right"))
+        self._pos = max(start, min(start + budget, cut))
+        self.done = self._pos >= cut
+        self._block_bounds = self._bounds[start : self._pos].tolist()
+        return self._sids[start : self._pos].tolist()
+
+    def feed(self, series_ids: "List[int]", distances: np.ndarray) -> None:
+        if self._lazy is not None:
+            return super().feed(series_ids, distances)
+        topk = self.topk
+        threshold = topk.threshold  # ``inf`` until full: nothing stops before
+        for sid, dist, bound in zip(series_ids, distances.tolist(), self._block_bounds):
+            if bound > threshold:
                 self.done = True
-                return pending
-            pending.append(int(self._sids[self._pos]))
-            self._pos += 1
-        if self._pos >= len(self._sids):
-            self.done = True
-        return pending
+                return
+            topk.offer(dist, sid)
+            self.verified += 1
+            threshold = topk.threshold
 
     def _collect_lazy(self, budget: int) -> "List[int]":
         pending: "List[int]" = []

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.engine import ExecutionMode, QueryEngine, QueryOptions
+from repro.engine.states import BLOCK_ROWS
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode, IndexKind
 from repro.obs.registry import MetricsRegistry
@@ -139,3 +140,35 @@ class TestDiskRoute:
         for a, b in zip(batch.results, expected.results):
             assert a.ids == b.ids
             assert a.distances == b.distances
+
+    def test_disk_scan_charges_the_discarded_tail(self, tmp_path):
+        """A scan gathers whole blocks, so rows its replay discards are
+        physically read and charged — at most ``BLOCK_ROWS - 1`` rows past
+        ``n_verified`` per query — while ``n_verified`` stays the memory
+        kind's."""
+        rng = np.random.default_rng(1)
+        data = rng.normal(size=(512, 256)).cumsum(axis=1)
+        queries = np.concatenate(
+            [data[:16] + rng.normal(0.0, 0.05, (16, 256)), dataset(16, 256, seed=2)]
+        )
+        disk = DiskBackedDatabase(
+            SAPLAReducer(12), tmp_path / "store.bin", index=None,
+            distance_mode=DistanceMode.LB, page_size=2048,
+        )
+        disk.ingest(data)
+        memory = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB)
+        memory.ingest(data)
+        pages = disk.store.pages_per_series()
+        assert pages == 1.0  # 256 float64 points: one page-aligned page per row
+        read = verified = 0
+        for query in queries:
+            disk.reset_io()
+            got, expected = disk.knn(query, 8), memory.knn(query, 8)
+            assert (got.ids, got.distances) == (expected.ids, expected.distances)
+            assert got.n_verified == expected.n_verified
+            accesses = disk.io_stats.total_accesses
+            assert got.n_verified * pages <= accesses
+            assert accesses <= (got.n_verified + BLOCK_ROWS - 1) * pages
+            read += accesses
+            verified += got.n_verified
+        assert read > verified

@@ -61,20 +61,31 @@ def mid_radius(data, query, rank=5):
     return float(truth[rank : rank + 2].mean())
 
 
-def range_walk(db, query, radius, use_batch_bounds):
-    """One range state driven the way the engine drives it, with the bound
-    path chosen at the ``make_state`` level (there is no user-facing switch)."""
+def walk(db, query, k, use_batch_bounds=True, collector=None, max_rounds=None):
+    """One state driven the way the engine drives it, with the bound path
+    chosen at the ``make_state`` level (there is no user-facing switch).
+
+    Returns ``(result, rounds, rows emitted)``; ``max_rounds`` stops early,
+    as a deadline between rounds would.
+    """
     with db.snapshot() as view:
         state = make_state(
-            view, query, WHOLE_RUN, 1, use_batch_bounds=use_batch_bounds,
-            collector=RangeHits(radius),
+            view, query, k, 1, use_batch_bounds=use_batch_bounds, collector=collector
         )
-        while not state.done:
+        rounds = emitted = 0
+        while not state.done and rounds != max_rounds:
             ids = state.advance()
             if ids:
                 rows = gather_rows(view.data, ids)
                 state.feed(ids, np.linalg.norm(rows - query[None, :], axis=1))
-        return state.finalize()
+                rounds += 1
+                emitted += len(ids)
+        return state.finalize(), rounds, emitted
+
+
+def range_walk(db, query, radius, use_batch_bounds):
+    """One range state's result, driven as :func:`walk` drives it."""
+    return walk(db, query, WHOLE_RUN, use_batch_bounds, RangeHits(radius))[0]
 
 
 def assert_same_accounting(a, b):
@@ -240,13 +251,87 @@ def test_duplicate_series_tie_break_is_stable_by_id(index):
 
 
 def test_lookahead_changes_rounds_not_answers():
+    """``lookahead`` paces a tree walk: fewer, larger rounds (which may
+    verify more), same answers."""
     data = dataset(count=30)
-    db = build("SAPLA", None, DistanceMode.LB, data)
+    db = build("SAPLA", IndexKind.DBCH, DistanceMode.LB, data)
     queries = data[:4] + 0.05
     one = db.knn_batch(queries, QueryOptions(k=3, lookahead=1))
     eager = db.knn_batch(queries, QueryOptions(k=3, lookahead=8))
+    assert eager.rounds < one.rounds
     for a, b in zip(one.results, eager.results):
         assert_same(a, b)
+
+
+def test_lookahead_does_not_pace_a_scan():
+    """A scan over sorted bounds sizes its own blocks: ``lookahead`` moves
+    neither its rounds nor anything it returns."""
+    data = dataset(count=60)
+    db = build("SAPLA", None, DistanceMode.LB, data)
+    for query in data[:4] + 0.05:
+        one = db.knn_batch(query[None, :], QueryOptions(k=3, lookahead=1))
+        eager = db.knn_batch(query[None, :], QueryOptions(k=3, lookahead=8))
+        assert one.rounds == eager.rounds
+        assert_same_accounting(one.results[0], eager.results[0])
+
+
+def test_scan_verifies_in_blocks_with_sequential_accounting():
+    """Perf-sized scan (1024 × 256, SAPLA-12, Dist_LB, k = 8): a single
+    query takes a handful of block rounds, its every counter equals the
+    one-row SEQUENTIAL reference, and some block's speculative tail was
+    really discarded by the replay."""
+    rng = np.random.default_rng(27)
+    data = rng.normal(size=(1024, 256)).cumsum(axis=1)
+    db = SeriesDatabase(REDUCERS["SAPLA"](12), index=None, distance_mode=DistanceMode.LB)
+    db.ingest(data)
+    near = data[rng.integers(0, len(data), size=8)] + rng.normal(0.0, 0.05, (8, 256))
+    queries = np.concatenate([near, rng.normal(size=(8, 256)).cumsum(axis=1)])
+    sequential = db.knn_batch(queries, QueryOptions(k=8, mode=ExecutionMode.SEQUENTIAL))
+    rounds = discarded = 0
+    for query, expected in zip(queries, sequential.results):
+        single = db.knn_batch(query[None, :], QueryOptions(k=8))
+        assert_same_accounting(single.results[0], expected)
+        walked, walk_rounds, emitted = walk(db, query, 8)
+        assert_same_accounting(walked, expected)
+        assert walk_rounds == single.rounds
+        rounds += single.rounds
+        discarded += emitted - walked.n_verified
+    assert rounds / len(queries) <= 8
+    assert discarded > 0
+
+
+@pytest.mark.parametrize("fire_after", [1, 2, 3])
+def test_deadline_keeps_exactly_the_replayed_count(monkeypatch, fire_after):
+    """A deadline that fires between block rounds returns what the replay
+    offered so far: the same partial result and ``n_verified`` as the walk
+    stopped after that many rounds (after round 1: exactly ``k``)."""
+    import time
+    import types
+
+    import repro.engine.engine as engine_mod
+
+    data = dataset(count=400, seed=4)
+    db = build("PAA", None, DistanceMode.PAR, data)
+    query = dataset(1, 48, seed=9)[0]
+    calls = []
+
+    def clock():  # the deadline's own reading, then one per round
+        calls.append(None)
+        return 0.0 if len(calls) <= fire_after + 1 else 10.0
+
+    monkeypatch.setattr(
+        engine_mod,
+        "time",
+        types.SimpleNamespace(monotonic=clock, perf_counter=time.perf_counter),
+    )
+    batch = db.knn_batch(query[None, :], QueryOptions(k=2, deadline_s=1.0))
+    partial, rounds, _ = walk(db, query, 2, max_rounds=fire_after)
+    assert batch.timed_out == [0]
+    assert batch.rounds == rounds == fire_after
+    assert_same_accounting(batch.results[0], partial)
+    assert partial.n_verified < walk(db, query, 2)[0].n_verified
+    if fire_after == 1:
+        assert partial.n_verified == 2
 
 
 @pytest.mark.parametrize("index", INDEXES, ids=["scan", "dbch", "rtree"])
@@ -280,9 +365,10 @@ def test_cascade_toggle_is_invisible(name, mode, index):
 
 
 def test_early_abandon_forced_on_is_exact():
-    """With the engage gate lowered to one element, abandoning rounds still
-    return the ids and distances of the plain matrix norm, and the abandon
-    counters prove the filter actually ran."""
+    """With the engage gate lowered to one element, abandoning block rounds
+    still return the ids, distances and counters of the plain matrix norm
+    (an abandoned ``inf`` replays exactly as its true distance would), and
+    the abandon counters prove the filter actually ran."""
     import repro.engine.engine as engine_mod
     from repro import obs
 
@@ -294,14 +380,14 @@ def test_early_abandon_forced_on_is_exact():
     engine_mod.EARLY_ABANDON_MIN_ELEMENTS = 1
     try:
         with obs.capture() as session:
-            filtered = db.knn_batch(queries, QueryOptions(k=3, lookahead=8))
+            filtered = db.knn_batch(queries, QueryOptions(k=3))
     finally:
         engine_mod.EARLY_ABANDON_MIN_ELEMENTS = saved
     counters = session.report().counters
     assert counters["verify.filter_rounds"] > 0
     assert counters["verify.abandoned"] > 0
     for a, b in zip(filtered.results, plain.results):
-        assert_same(a, b)
+        assert_same_accounting(a, b)
     for query, result in zip(queries, filtered.results):
         assert_same(result, linear_scan(data, query, 3))
 
@@ -336,17 +422,26 @@ class TestPropertyEquivalence:
     @given(
         seed=st.integers(0, 2**16),
         count=st.integers(4, 24),
-        k=st.integers(1, 6),
         index=st.sampled_from(INDEXES),
         mode=st.sampled_from(list(DistanceMode)),
+        name=st.sampled_from(["SAPLA", "PAA"]),
+        duplicates=st.booleans(),
+        draw=st.data(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_random_cascade_toggle(self, seed, count, k, index, mode):
-        """Random shapes: the cascade never changes answers or accounting."""
+    @settings(max_examples=40, deadline=None)
+    def test_random_cascade_toggle(self, seed, count, index, mode, name, duplicates, draw):
+        """Random shapes: neither the cascade nor the bound path (blocked
+        store scan vs one-row SEQUENTIAL heap) changes answers or accounting
+        — with duplicate rows (equal bounds, equal distances), every ``k``
+        up to past the collection, and range radii set exactly on a true
+        distance and exactly on a bound."""
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(count, 32)).cumsum(axis=1)
-        queries = rng.normal(size=(2, 32)).cumsum(axis=1)
-        db = SeriesDatabase(REDUCERS["SAPLA"](6), index=index, distance_mode=mode)
+        if duplicates:
+            data = data[rng.integers(0, max(count // 3, 1), size=count)]
+        queries = np.stack([rng.normal(size=32).cumsum(), data[0]])
+        k = draw.draw(st.integers(1, count + 2), label="k")
+        db = SeriesDatabase(REDUCERS[name](6), index=index, distance_mode=mode)
         db.ingest(data)
         off = QueryOptions(k=k, cascade=False, early_abandon=False)
         on = db.knn_batch(queries, QueryOptions(k=k, mode=ExecutionMode.VECTORIZED))
@@ -367,6 +462,16 @@ class TestPropertyEquivalence:
             assert_same_accounting(a, b)
             assert_same_accounting(c, d)
             assert_same_accounting(a, c)  # batch bounds == scalar bounds, to the bit
+        for query in queries:
+            truth = np.linalg.norm(data - query[None, :], axis=1)
+            ctx = db.query_context(query)
+            bounds = [db.suite.query_bound(ctx, e.representation) for e in db.entries]
+            for radius in (truth[rng.integers(count)], bounds[rng.integers(count)]):
+                radius = float(radius)
+                from_store = range_walk(db, query, radius, use_batch_bounds=True)
+                assert from_store == range_walk(db, query, radius, use_batch_bounds=False)
+                if index is None:
+                    assert from_store.n_verified == sum(b <= radius for b in bounds)
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
@@ -379,14 +484,16 @@ class TestPropertyEquivalence:
         queries = rng.normal(size=(3, 32)).cumsum(axis=1)
         db = SeriesDatabase(PAA(6), index=None)
         db.ingest(data)
+        plain = db.knn_batch(queries, QueryOptions(k=k, early_abandon=False))
         saved = engine_mod.EARLY_ABANDON_MIN_ELEMENTS
         engine_mod.EARLY_ABANDON_MIN_ELEMENTS = 1
         try:
-            batch = db.knn_batch(queries, QueryOptions(k=k, lookahead=4))
+            batch = db.knn_batch(queries, QueryOptions(k=k))
         finally:
             engine_mod.EARLY_ABANDON_MIN_ELEMENTS = saved
         for i, query in enumerate(queries):
             assert_same(batch.results[i], linear_scan(data, query, k))
+            assert_same_accounting(batch.results[i], plain.results[i])
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
