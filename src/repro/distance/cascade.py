@@ -205,12 +205,11 @@ class BoundCascade:
 class QueryCascade:
     """One query's cascade: cheap tiers, exact refinement, and counters.
 
-    Invariant (the whole point): every value :meth:`cheap`,
-    :meth:`cheap_keys` or :meth:`node_lower` returns is ``<=`` the value the
-    corresponding exact evaluation (:meth:`refine` / ``db.node_distance``)
-    returns *as floating point*, thanks to the deflation margin.  Search
-    code may therefore compare cheap keys against thresholds exactly as it
-    compares exact keys.
+    Invariant (the whole point): every value :meth:`cheap` or
+    :meth:`cheap_keys` returns is ``<=`` the value the exact evaluation
+    (:meth:`refine`) returns *as floating point*, thanks to the deflation
+    margin.  Search code may therefore compare cheap keys against
+    thresholds exactly as it compares exact keys.
 
     Counter increments accumulate in plain ints and flush once per query
     (:meth:`flush`), keeping the hot path free of registry lookups.
@@ -222,8 +221,6 @@ class QueryCascade:
         "mode",
         "n_cheap",
         "n_refine",
-        "n_node_cheap",
-        "n_node_refine",
         "_q_norm",
         "_q_residual",
         "_q_stats",
@@ -235,8 +232,6 @@ class QueryCascade:
         self.mode = cascade.mode
         self.n_cheap = 0
         self.n_refine = 0
-        self.n_node_cheap = 0
-        self.n_node_refine = 0
         self._q_residual = 0.0
         if self.mode in ("lb", "ae"):
             self._q_norm = float(np.linalg.norm(np.asarray(ctx.series, dtype=float)))
@@ -293,51 +288,15 @@ class QueryCascade:
             return dist_lb(self.ctx.series, rep, stats=self._q_stats)
         return self.cascade.suite.query_bound(self.ctx, rep)
 
-    # -- DBCH node tier -------------------------------------------------
-    def node_lower(self, node) -> float:
-        """Deflated lower tier of the DBCH ``node_distance``.
-
-        ``node_distance`` is ``max(0, min(d(q,u), d(q,l)) - volume)`` (or 0
-        with the query inside the hull); replacing each pairwise distance by
-        its dominated norm tier can only shrink the value, and the
-        inside-the-hull case yields 0 here as well.
-        """
-        self.n_node_cheap += 1
-        hull = node.hull
-        if hull is None:
-            return 0.0
-        if self.mode in ("lb", "ae"):
-            # pairwise distances act on representations; the node tier uses
-            # the query's reconstruction norm even when the entry tier uses
-            # the raw norm (reconstruction_norm caches it on the rep).
-            qn = self.cascade.rep_norm(self.ctx.representation)
-        else:
-            qn = self._q_norm
-        u, l = hull
-        du = self._pair_lower(qn, u)
-        dl = self._pair_lower(qn, l)
-        return max(0.0, min(du, dl) - node.volume)
-
-    def _pair_lower(self, qn: float, rep) -> float:
-        """Deflated lower bound of ``suite.pairwise(ctx.representation, rep)``."""
-        cn = self.cascade.rep_norm(rep)
-        if self.mode == "triangle":
-            residuals = float(self.ctx.representation.residual_norm) + float(
-                rep.residual_norm
-            )
-            return _deflate(abs(qn - cn) - residuals, qn + cn + residuals)
-        return _deflate(abs(qn - cn), qn + cn)
-
     # -- accounting -----------------------------------------------------
     def flush(self) -> None:
         """Record this query's cascade counters (once, at finalisation)."""
         if not obs.is_enabled():
             return
         obs.count("cascade.queries")
-        obs.count("cascade.cheap_bounds", self.n_cheap + self.n_node_cheap)
-        obs.count("cascade.refines", self.n_refine + self.n_node_refine)
+        obs.count("cascade.cheap_bounds", self.n_cheap)
+        obs.count("cascade.refines", self.n_refine)
         obs.count("cascade.entries_skipped", max(self.n_cheap - self.n_refine, 0))
-        obs.count("cascade.nodes_skipped", max(self.n_node_cheap - self.n_node_refine, 0))
 
 
 class PairwiseAccel:

@@ -9,6 +9,11 @@ indexing needs:
   fetched (this is what pruning power counts).
 * ``pairwise(rep_a, rep_b)`` — a representation-to-representation distance,
   used by the DBCH-tree for its hulls, node splitting and branch picking.
+* optionally ``pairwise_batch(rep, columns)`` — ``pairwise(rep, row)``
+  against every row of a :class:`~repro.distance.columnar.SegmentColumns`,
+  bit-identical to the scalar call: how a DBCH query measures every node
+  hull in one pass.  Dist_PAR for the adaptive methods (in every mode), the
+  aligned kernel for PLA, PAA and PAALM; CHEBY and SAX have none.
 * optionally ``stack`` / ``query_bound_batch`` — a vectorised form of
   ``query_bound`` over a whole collection at once, used by
   :class:`repro.engine.QueryEngine` to evaluate every candidate bound of a
@@ -37,7 +42,7 @@ import numpy as np
 
 from ..kinds import DistanceMode
 from ..reduction.base import Reducer
-from .columnar import SegmentColumns
+from .columnar import SegmentColumns, lane_sum
 from .dist_ae import dist_ae
 from .dist_lb import dist_lb, dist_lb_batch
 from .dist_par import dist_par, dist_par_batch
@@ -91,6 +96,8 @@ class DistanceSuite:
     #: vectorised ``query_bound`` over a stacked layout; returns one bound
     #: per stacked representation
     query_bound_batch: "Optional[Callable[[QueryContext, Any], np.ndarray]]" = None
+    #: vectorised ``pairwise(rep, ·)`` over a stacked layout
+    pairwise_batch: "Optional[Callable[[Any, Any], np.ndarray]]" = None
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +115,9 @@ def _stack_aligned(representations: "Sequence[Any]") -> SegmentColumns:
     return columns
 
 
-def _aligned_bound_batch(ctx: QueryContext, columns: SegmentColumns) -> np.ndarray:
-    """Vectorised Dist_PLA / Dist_PAA against every stacked representation."""
-    rep_q = ctx.representation
+def _aligned_bound_batch(rep_q, columns: SegmentColumns) -> np.ndarray:
+    """Vectorised Dist_PLA / Dist_PAA of ``rep_q`` against every stacked
+    representation, bit-identical to :func:`aligned_distance` per row."""
     if not columns.uniform or rep_q.right_endpoints != columns.ends[0].tolist():
         raise ValueError("query representation does not match the stacked layout")
     qa = np.array([seg.a for seg in rep_q], dtype=float)
@@ -118,8 +125,13 @@ def _aligned_bound_batch(ctx: QueryContext, columns: SegmentColumns) -> np.ndarr
     da = qa[None, :] - columns.slopes
     db = qb[None, :] - columns.intercepts
     c3, c2, c1 = columns.c3[0], columns.c2[0], columns.c1[0]
-    total = (c3 * da * da + c2 * da * db + c1 * db * db).sum(axis=1)
+    total = lane_sum(c3 * da * da + c2 * da * db + c1 * db * db)
     return np.sqrt(np.maximum(total, 0.0))
+
+
+def _aligned_query_batch(ctx: QueryContext, columns: SegmentColumns) -> np.ndarray:
+    """The aligned kernel as a query bound: the query's own reduction."""
+    return _aligned_bound_batch(ctx.representation, columns)
 
 
 def make_suite(
@@ -153,6 +165,7 @@ def make_suite(
             pairwise=dist_par,
             stack=SegmentColumns if batch is not None else None,
             query_bound_batch=batch,
+            pairwise_batch=dist_par_batch,
         )
     if name == "PLA":
         return DistanceSuite(
@@ -161,7 +174,8 @@ def make_suite(
             query_bound=lambda ctx, rep: dist_pla(ctx.representation, rep),
             pairwise=dist_pla,
             stack=_stack_aligned,
-            query_bound_batch=_aligned_bound_batch,
+            query_bound_batch=_aligned_query_batch,
+            pairwise_batch=_aligned_bound_batch,
         )
     if name in ("PAA", "PAALM"):
         return DistanceSuite(
@@ -170,7 +184,8 @@ def make_suite(
             query_bound=lambda ctx, rep: dist_paa(ctx.representation, rep),
             pairwise=dist_paa,
             stack=_stack_aligned,
-            query_bound_batch=_aligned_bound_batch,
+            query_bound_batch=_aligned_query_batch,
+            pairwise_batch=_aligned_bound_batch,
         )
     if name == "CHEBY":
         return DistanceSuite(

@@ -88,6 +88,11 @@ class QueryEngine:
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2:
             raise ValueError("expected a (Q, n) array of queries")
+        # one check for every path: a NaN query would otherwise leave a
+        # store-backed scan no bound to take and answer [] without error
+        length = self.database.data.shape[1]
+        if queries.shape[1] != length or not np.isfinite(queries).all():
+            raise ValueError(f"queries must be finite series of length {length}")
         # Pin a snapshot so concurrent inserts/deletes never shift the
         # entry list or tree under a batch mid-flight; plain databases
         # (no lifecycle mixin) run unpinned as before.

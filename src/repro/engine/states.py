@@ -267,12 +267,16 @@ class TreeState(_QueryState):
 
     Leaf entries enter the queue keyed by their exact bound, read by series
     id from the query's one batch pass over the database's columnar store
-    (every segment method).  Without a store, and for DBCH node children,
-    the :mod:`bound cascade <repro.distance.cascade>` applies: items enter
-    keyed by their cheap dominated tier and are refined to the exact key
-    only on reaching the front; tick-preserving reinsertion keeps the pop
-    sequence of refined items — and hence results, verifications and all
-    counters — identical to the single-bound walk.
+    (every segment method).  DBCH nodes enter keyed by their exact node
+    distance, read by node slot from the query's one batch pass over the
+    tree's stacked hulls (every method with a ``pairwise_batch``); R-tree
+    nodes, and every node of a scalar walk, call ``node_distance``.
+    Without a store the :mod:`bound cascade <repro.distance.cascade>`
+    applies to entries: they enter keyed by their cheap dominated tier and
+    are refined to the exact key only on reaching the front;
+    tick-preserving reinsertion keeps the pop sequence of refined items —
+    and hence results, verifications and all counters — identical to the
+    single-bound walk.
     """
 
     def __init__(
@@ -297,12 +301,19 @@ class TreeState(_QueryState):
             by_sid = np.full(int(sids.max()) + 1, np.nan)
             by_sid[sids] = bounds
             self._entry_bounds = by_sid.tolist()
-        self._qc = _query_cascade(db, self.ctx) if cascade else None
-        self._node_tier = self._qc is not None and db.index_kind == IndexKind.DBCH
+        use_cascade = cascade and self._entry_bounds is None
+        self._qc = _query_cascade(db, self.ctx) if use_cascade else None
+        #: exact DBCH node keys indexed by ``node.slot``, or ``None``
+        self._node_keys = keys = None
+        pairwise_batch = db.suite.pairwise_batch
+        if use_batch_bounds and pairwise_batch is not None and db.index_kind == IndexKind.DBCH:
+            self._node_keys = keys = db.tree.node_keys(self.ctx.representation, pairwise_batch)
         #: node keys that are navigation hints, not bounds (adaptive R-tree):
         #: they order the walk but may never stop it or skip a subtree.
         self._hint_nodes = not db.node_bounds_exact
-        self.frontier.push_node(db.node_distance(self.ctx, db.tree.root), db.tree.root)
+        root = db.tree.root
+        key = db.node_distance(self.ctx, root) if keys is None else keys[root.slot]
+        self.frontier.push_node(key, root)
 
     def _collect(self, budget: int) -> "List[int]":
         pending: "List[int]" = []
@@ -317,10 +328,6 @@ class TreeState(_QueryState):
                     continue  # entry bounds stay exact; node keys are hints
             if kind == "uentry":
                 frontier.reinsert(qc.refine(payload.representation), tick, "entry", payload)
-                continue
-            if kind == "unode":
-                qc.n_node_refine += 1
-                frontier.reinsert(db.node_distance(self.ctx, payload), tick, "node", payload)
                 continue
             if kind == "entry":
                 pending.append(payload.series_id)
@@ -340,9 +347,9 @@ class TreeState(_QueryState):
                         frontier.push_entry(
                             db.suite.query_bound(self.ctx, entry.representation), entry
                         )
-            elif self._node_tier:
+            elif self._node_keys is not None:
                 for child in payload.children:
-                    frontier.push_node(qc.node_lower(child), child, refined=False)
+                    frontier.push_node(self._node_keys[child.slot], child)
             else:
                 for child in payload.children:
                     frontier.push_node(db.node_distance(self.ctx, child), child)

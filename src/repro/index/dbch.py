@@ -13,13 +13,19 @@ within the hull (both hull distances below the volume); otherwise the excess
 of the smaller hull distance over the volume.  As the paper notes, internal
 nodes do not guarantee the lower-bounding lemma — the k-NN engine treats
 node distances as navigation hints and verifies candidates on raw data.
+A query reads every node's key from one batch pass over the stacked hull
+pairs (:meth:`DBCHTree.node_keys`); :meth:`DBCHTree.node_distance` is the
+same rule for one node.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional
 
+import numpy as np
+
 from .. import obs
+from ..distance.columnar import SegmentColumns
 from .entries import Entry
 
 __all__ = ["DBCHTree", "DBCHNode"]
@@ -132,8 +138,14 @@ class DBCHTree:
         #: query path (:meth:`node_distance`) stays uncached: query
         #: representations are transient and would only grow the memo.
         self._memo: "dict[tuple[int, int], tuple[object, object, float]]" = {}
+        #: ``(stacked hulls, volumes, hull-less node count)`` behind
+        #: :meth:`node_keys`; built on first use, dropped by every mutation
+        self._hulls = None
 
-    _MEMO_LIMIT = 1 << 20  # crude bound; clearing only costs recomputation
+    #: ~250 B an entry, so ~4 MB at most; an insert adds ~40 entries (most of
+    #: them branch-picking pairs never read again), and clearing only costs
+    #: recomputation: ~10 % more pairwise calls per insert than an unbounded memo
+    _MEMO_LIMIT = 1 << 14
 
     def _dist(self, rep_a, rep_b) -> float:
         key = (id(rep_a), id(rep_b))
@@ -152,6 +164,7 @@ class DBCHTree:
     def insert(self, entry: Entry) -> None:
         """Insert one entry, growing hulls and splitting on overflow."""
         obs.count("dbch.inserts")
+        self._hulls = None
         leaf = self._choose_leaf(self.root, entry.representation)
         leaf.entries.append(entry)
         self._adjust_upwards(leaf)
@@ -211,6 +224,7 @@ class DBCHTree:
         if found is None:
             return False
         leaf, entry = found
+        self._hulls = None
         leaf.entries.remove(entry)
         self.size -= 1
         obs.count("dbch.deletes")
@@ -354,6 +368,43 @@ class DBCHTree:
         if du <= node.volume and dl <= node.volume:
             return 0.0
         return max(0.0, min(du, dl) - node.volume)
+
+    def node_keys(self, query_representation, distance_batch) -> "List[float]":
+        """:meth:`node_distance` of every node at once, indexed by ``node.slot``
+        (assigned to every node when the hull store is built).
+
+        ``distance_batch(q, columns)`` is :attr:`distance` from ``q`` to every
+        row of a :class:`~repro.distance.columnar.SegmentColumns`,
+        bit-identical to the scalar call (the suite's ``pairwise_batch``).
+        The hull pairs are stacked once and reused by every query until an
+        insert or delete drops them; the rule is applied element-wise with
+        :meth:`node_distance`'s comparisons and operations, so each key
+        equals it to the bit.  A node without a hull keys 0.0.
+        """
+        store = self._hulls
+        if store is None:
+            store = self._hulls = self._stack_hulls()
+        columns, volumes, unhulled = store
+        keys: "List[float]" = []
+        if columns is not None:
+            both = distance_batch(query_representation, columns)
+            du, dl = both[0::2], both[1::2]
+            inside = (du <= volumes) & (dl <= volumes)
+            outside = np.maximum(0.0, np.minimum(du, dl) - volumes)
+            keys = np.where(inside, 0.0, outside).tolist()
+        return keys + [0.0] * unhulled
+
+    def _stack_hulls(self):
+        """Number every node (hulled ones first) and stack their ``(u, l)``."""
+        nodes = list(self.iter_nodes())
+        hulled = [node for node in nodes if node.hull is not None]
+        bare = [node for node in nodes if node.hull is None]
+        for slot, node in enumerate(hulled + bare):
+            node.slot = slot
+        if not hulled:
+            return None, None, len(bare)
+        columns = SegmentColumns([rep for node in hulled for rep in node.hull])
+        return columns, np.array([node.volume for node in hulled]), len(bare)
 
     # ------------------------------------------------------------------
     # statistics (paper Figs. 15, 16)

@@ -55,12 +55,12 @@ class _Frontier:
     never need to be comparable.  Push counts per kind feed the search
     accounting (heap pushes, nodes/candidates pruned).
 
-    Cascaded searches push items *unrefined* (kinds ``"uentry"`` /
-    ``"unode"``) keyed by a cheap dominated bound, then :meth:`reinsert`
-    them with the exact key **and the original tick** once they reach the
-    front.  Reinsertion advances neither the tick nor the push counters, so
-    the pop sequence of refined items — and every counter — is identical to
-    a search that pushed exact keys from the start.
+    Cascaded searches push entries *unrefined* (kind ``"uentry"``) keyed by
+    a cheap dominated bound, then :meth:`reinsert` them with the exact key
+    **and the original tick** once they reach the front.  Reinsertion
+    advances neither the tick nor the push counters, so the pop sequence of
+    refined items — and every counter — is identical to a search that
+    pushed exact keys from the start.
     """
 
     __slots__ = ("_heap", "_tick", "node_pushes", "entry_pushes")
@@ -71,9 +71,9 @@ class _Frontier:
         self.node_pushes = 0
         self.entry_pushes = 0
 
-    def push_node(self, distance: float, node, refined: bool = True) -> None:
+    def push_node(self, distance: float, node) -> None:
         self.node_pushes += 1
-        self._push(distance, "node" if refined else "unode", node)
+        self._push(distance, "node", node)
 
     def push_entry(self, bound: float, entry: Entry, refined: bool = True) -> None:
         self.entry_pushes += 1

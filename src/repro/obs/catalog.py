@@ -92,7 +92,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "cascade.cheap_bounds": (COUNTER, "cheap dominated-tier bound evaluations"),
     "cascade.refines": (COUNTER, "cascade items refined to their exact bound"),
     "cascade.entries_skipped": (COUNTER, "entry bounds never refined past the cheap tier"),
-    "cascade.nodes_skipped": (COUNTER, "node distances never refined past the cheap tier"),
     "cascade.pairwise_skipped": (COUNTER, "DBCH build pairwise evaluations skipped by the accelerator"),
     # --------------------------------------------------------- verification
     "verify.filter_rounds": (COUNTER, "verification rounds run through the early-abandoning filter"),

@@ -25,7 +25,7 @@ from repro.client import (
 from repro.continuous import RangeWatch
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode
-from repro.reduction import PAA
+from repro.reduction import PAA, SAPLAReducer
 from repro.serving import FrameError, ReproServer, ServerConfig, ShardedEngine
 from repro.storage import DiskBackedDatabase
 
@@ -203,6 +203,53 @@ def test_range_and_range_watch_on_every_backend(backend, tmp_path):
     assert list(zip(got.distances, got.ids)) == want
     assert first.full
     assert list(zip(first.distances, first.ids)) == want
+
+
+BAD_QUERIES = {
+    "all-nan": np.full(LENGTH, np.nan),
+    "one-inf": np.where(np.arange(LENGTH) == 3, np.inf, 0.0),
+    "too-short": np.zeros(LENGTH - 1),
+    "too-long": np.zeros(LENGTH + 1),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_QUERIES))
+@pytest.mark.parametrize("backend", ["memory", "disk", "sharded", "tcp"])
+def test_bad_queries_raise_one_error_on_every_backend(backend, bad, tmp_path):
+    """A non-finite or wrong-length query is one ``ValueError`` (a
+    ``bad_request`` over TCP) for knn and range alike.  The SAPLA Dist_LB
+    scan is the path that used to answer an all-NaN query with ``[]``."""
+    rng = np.random.default_rng(1)
+    data = rng.normal(size=(24, LENGTH)).cumsum(axis=1)
+    db = SeriesDatabase(SAPLAReducer(8), index=None, distance_mode=DistanceMode.LB)
+    host = None
+    if backend == "disk":
+        db = DiskBackedDatabase(
+            SAPLAReducer(8), tmp_path / "rows.bin", index=None, distance_mode=DistanceMode.LB
+        )
+    db.ingest(data)
+    if backend == "sharded":
+        target = ShardedEngine.from_database(db, 2)
+    elif backend == "tcp":
+        host = _ServerThread(ShardedEngine.from_database(db, 2))
+        target = f"tcp://127.0.0.1:{host.port}"
+    else:
+        target = db
+    query = BAD_QUERIES[bad]
+    expected = ServerError if backend == "tcp" else ValueError
+    message = f"queries must be finite series of length {LENGTH}"
+    try:
+        with connect(target) as client:
+            with pytest.raises(expected, match=message) as knn_error:
+                client.knn(KnnRequest(queries=query, k=3))
+            with pytest.raises(expected, match=message) as range_error:
+                client.range(RangeRequest(query=query, radius=5.0))
+            assert client.knn(KnnRequest(queries=data[4], k=1))[0].ids == [4]
+    finally:
+        if host is not None:
+            host.stop()
+    if backend == "tcp":
+        assert knn_error.value.code == range_error.value.code == "bad_request"
 
 
 class _InsertOnGather:
