@@ -47,13 +47,13 @@ verify-experiments:
 	PYTHONPATH=src python -m repro experiment diff benchmarks/specs/smoke.toml \
 		--store /tmp/repro-verify-experiments.sqlite --baseline /tmp/BENCH_smoke.json
 
-# bound cascade + packed columns + early abandoning: lint + the dominance,
-# column-block and bit-identity equivalence tests, then the medium spec
+# bound cascade + mapped page-file rows: lint + the dominance, mapped-row,
+# bit-identity equivalence and golden-counter tests, then the medium spec
 # against the committed baseline (the >= 25% batch-knn gate lives there)
 verify-cascade:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/distance/test_cascade.py tests/storage/test_columns.py \
-		tests/engine/test_equivalence.py -q
+		tests/engine/test_equivalence.py tests/engine/test_golden_counters.py -q
 	rm -f /tmp/repro-verify-cascade.sqlite /tmp/BENCH_medium.json
 	PYTHONPATH=src python -m repro experiment run benchmarks/specs/medium.toml \
 		--store /tmp/repro-verify-cascade.sqlite --bench-dir /tmp

@@ -12,12 +12,11 @@ reported only with ``--strict`` (dynamic selection is expected to go
 through catalogued tables like ``PRUNED_METRICS``).
 
 The reverse direction is linted for the experiment service's, bound
-cascade's, verification filter's, batched-storage, serving and continuous
-namespaces: every ``experiments.*`` / ``cascade.*`` / ``verify.*`` /
-``pages.*`` / ``columns.*`` / ``server.*`` / ``shard.*`` /
-``continuous.*`` name declared in the catalogue must be *used* by at
-least one literal call site, so the catalogue cannot accumulate dead
-metrics.
+cascade's, batched-storage, serving, continuous and reduction namespaces:
+every ``experiments.*`` / ``cascade.*`` / ``pages.*`` / ``columns.*`` /
+``server.*`` / ``shard.*`` / ``continuous.*`` / ``reduce.*`` name declared
+in the catalogue must be *used* by at least one literal call site, so the
+catalogue cannot accumulate dead metrics.
 
 Exit status 0 = clean, 1 = violations found.  Run from the repo root:
 
@@ -114,7 +113,6 @@ def main() -> int:
     reverse_prefixes = (
         "experiments.",
         "cascade.",
-        "verify.",
         "pages.",
         "columns.",
         "server.",

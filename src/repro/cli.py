@@ -142,7 +142,7 @@ def _cmd_reconstruct(args) -> int:
 def _knn_rows(db: SeriesDatabase, dataset, args) -> list:
     k = args.k
     if args.batch:
-        options = QueryOptions(k=k, parallelism=args.parallelism, deadline_s=args.deadline)
+        options = QueryOptions(k=k, deadline_s=args.deadline)
         results = db.knn_batch(dataset.queries, options).results
     else:
         results = [db.knn(query, k) for query in dataset.queries]
@@ -183,7 +183,6 @@ def _cmd_knn(args) -> int:
                 "index": args.index,
                 "k": args.k,
                 "batch": bool(args.batch),
-                "parallelism": args.parallelism,
                 "n_series": int(dataset.data.shape[0]),
                 "length": int(dataset.data.shape[1]),
             }
@@ -722,10 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch", action="store_true",
         help="answer all queries in one QueryEngine.knn_batch call",
-    )
-    p.add_argument(
-        "--parallelism", type=int, default=1, metavar="N",
-        help="worker processes for --batch frontier walks (1 = in process)",
     )
     p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -40,7 +40,6 @@ class KnnRequest:
             or the lazy cascade heap; a scan over sorted bounds sizes its
             own blocks (see :class:`repro.engine.QueryOptions`).
         cascade: route representation bounds through the bound cascade.
-        early_abandon: allow early-abandoning batched verification.
     """
 
     queries: np.ndarray
@@ -49,7 +48,6 @@ class KnnRequest:
     deadline_s: Optional[float] = None
     lookahead: int = 1
     cascade: bool = True
-    early_abandon: bool = True
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.queries, dtype=float))
@@ -66,7 +64,6 @@ class KnnRequest:
             deadline_s=self.deadline_s,
             lookahead=self.lookahead,
             cascade=self.cascade,
-            early_abandon=self.early_abandon,
         )
 
     def to_payload(self) -> dict:
@@ -78,12 +75,13 @@ class KnnRequest:
             "deadline_s": self.deadline_s,
             "lookahead": self.lookahead,
             "cascade": self.cascade,
-            "early_abandon": self.early_abandon,
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "KnnRequest":
-        """Rebuild a request from its :meth:`to_payload` dict."""
+        """Rebuild a request from its :meth:`to_payload` dict; keys it does
+        not know, such as a retired option an older client still sends, are
+        ignored."""
         return cls(
             queries=np.asarray(payload["queries"], dtype=float),
             k=int(payload.get("k", 1)),
@@ -91,7 +89,6 @@ class KnnRequest:
             deadline_s=payload.get("deadline_s"),
             lookahead=int(payload.get("lookahead", 1)),
             cascade=bool(payload.get("cascade", True)),
-            early_abandon=bool(payload.get("early_abandon", True)),
         )
 
 

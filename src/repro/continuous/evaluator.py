@@ -108,6 +108,7 @@ class ContinuousEvaluator:
         started = time.perf_counter()
         series = np.asarray(series, dtype=float)
         with self._lock:
+            self._check_length(series)
             gid = self.target.insert(series)
             self._evaluate([methodcaller("on_insert", gid, series)], started)
             return gid
@@ -125,6 +126,7 @@ class ContinuousEvaluator:
         started = time.perf_counter()
         matrix = np.asarray(data, dtype=float)
         with self._lock:
+            self._check_length(matrix)
             gids = list(self.target.insert_batch(matrix))
             steps = [methodcaller("on_insert", gid, row) for gid, row in zip(gids, matrix)]
             self._evaluate(steps, started)
@@ -138,6 +140,22 @@ class ContinuousEvaluator:
                 return False
             self._evaluate([methodcaller("on_delete", int(gid))], started)
             return True
+
+    def _check_length(self, rows: np.ndarray) -> None:
+        """Refuse rows a k-NN or range watch could not measure, before the
+        target takes them: a watch subscribed on an empty target was never
+        checked against a stored row, so its query length is unverified.
+        A scalar is left for the target to reject."""
+        if rows.ndim == 0:
+            return
+        length = rows.shape[-1]
+        for sid, watch in self._watches.items():
+            if not watch.accepts(length):
+                raise ValueError(
+                    f"subscription {sid!r} watches a series of length "
+                    f"{len(watch.query.query)}, not {length}; unsubscribe it "
+                    "to insert rows of this length"
+                )
 
     def _evaluate(self, steps: Iterable[Callable], started: float) -> None:
         """The one evaluation loop: each step (one landed mutation, as a

@@ -2,7 +2,7 @@
 
 :mod:`repro.continuous.queries` says what a watch *is* (the frozen
 dataclasses that travel the wire and the log); this module says how each
-is kept current.  Every kind answers the same six questions, and
+is kept current.  Every kind answers the same seven questions, and
 :data:`WATCH_KINDS` — keyed by ``kind`` exactly like the payload table in
 ``queries`` — is the only place a query type is mapped to behaviour:
 
@@ -10,6 +10,7 @@ is kept current.  Every kind answers the same six questions, and
 ``rerun()``            rebuild the result from scratch on the target; the
                        notifications that bring a holder of the previous
                        state up to date
+``accepts(length)``    may a row of ``length`` points be inserted at all?
 ``on_insert(gid, s)``  fold one inserted row in; notifications, if any
 ``on_delete(gid)``     fold one delete in; notifications, if any
 ``snapshot(**delta)``  a notification carrying the current members
@@ -92,13 +93,18 @@ class _Watch:
         self._rebuild()
         return [self.snapshot(full=True, **_delta(previous, self._members()))]
 
+    def accepts(self, length: int) -> bool:
+        """Can a row of ``length`` points be folded in?  Stream-shaped kinds
+        take any row; the frontier kinds override."""
+        return True
+
 
 class _Frontier(_Watch):
     """k-NN and range: ``pairs`` is the result in ``(distance, id)`` order.
 
     An inserted row's distance is one call of the engine's verification
     primitive; a from-scratch result comes from the target's own one-shot
-    query — bound cascade, early-abandoning verification and (sharded) the
+    query — bound cascade, batched verification and (sharded) the
     scatter-gather merge included.
     """
 
@@ -112,6 +118,9 @@ class _Frontier(_Watch):
 
     def _members(self) -> "List[int]":
         return [g for _, g in self.pairs]
+
+    def accepts(self, length: int) -> bool:
+        return len(self.query.query) == length
 
     def snapshot(self, **delta) -> dict:
         return {

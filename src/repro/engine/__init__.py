@@ -2,8 +2,7 @@
 
 The engine answers many queries per call: per-query index frontiers advance
 in lockstep while candidate verification is vectorised across the whole
-batch (one NumPy matrix operation per round), optionally fanning the
-frontier walks across a worker pool with the raw data in shared memory.
+batch (one NumPy matrix operation per round).
 :meth:`repro.index.SeriesDatabase.knn` is a batch-of-one wrapper over the
 same code path, so single and batched answers are byte-identical.  See
 ``docs/query_engine.md`` for semantics and caveats.

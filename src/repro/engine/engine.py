@@ -7,8 +7,8 @@ the batch and resolves their exact Euclidean distances in a single
 ``np.linalg.norm(rows - query_rows, axis=1)`` matrix operation — the same
 row-wise primitive :func:`repro.index.linear_scan` uses, so distances agree
 bit-for-bit.  Because each state's decisions depend only on its own history,
-a query answers identically whether it runs alone (``SeriesDatabase.knn``),
-inside a batch, or inside a worker process (``parallelism > 1``).
+a query answers identically whether it runs alone (``SeriesDatabase.knn``)
+or inside a batch.
 
 :meth:`QueryEngine.range_batch` runs the same states under the same pin
 with a fixed-radius result collector (see :mod:`repro.engine.states`).
@@ -29,14 +29,9 @@ from .. import obs
 from ..distance.suite import ADAPTIVE_METHODS
 from ..index.knn import RangeHits, record_search
 from .options import BatchResult, ExecutionMode, QueryOptions
-from .parallel import run_parallel
 from .states import WHOLE_RUN, gather_rows, make_state
 
 __all__ = ["QueryEngine"]
-
-#: minimum (pairs × series length) for a round to engage the early-abandoning
-#: filter — below this the plain matrix norm is faster than filtering.
-EARLY_ABANDON_MIN_ELEMENTS = 32768
 
 
 class QueryEngine:
@@ -101,9 +96,12 @@ class QueryEngine:
         pinned = db is not self.database
         start = time.perf_counter()
         try:
-            results, timed_out, rounds, used_workers = self._dispatch(
-                db, queries, options, radius
-            )
+            if options.mode is ExecutionMode.SEQUENTIAL:
+                results, timed_out, rounds = self._run_sequential(db, queries, options)
+            else:
+                results, timed_out, rounds = self._run_vectorized(
+                    db, queries, options, radius
+                )
             for result in results:
                 record_search(result, db.suite.mode)
             if obs.is_enabled():
@@ -111,7 +109,6 @@ class QueryEngine:
                 obs.count("engine.rounds", rounds)
                 obs.count("engine.pairs_verified", sum(r.n_verified for r in results))
                 obs.observe("engine.batch_size", len(queries))
-                obs.gauge_set("engine.parallelism", used_workers)
                 if timed_out:
                     obs.count("engine.timeouts", len(timed_out))
             return BatchResult(
@@ -119,7 +116,6 @@ class QueryEngine:
                 timed_out=sorted(timed_out),
                 elapsed_s=time.perf_counter() - start,
                 rounds=rounds,
-                parallelism=used_workers,
                 generation=getattr(db, "generation", None),
             )
         finally:
@@ -127,18 +123,6 @@ class QueryEngine:
                 db.release()
 
     # ------------------------------------------------------------------
-    def _dispatch(self, db, queries: np.ndarray, options: QueryOptions, radius):
-        """Choose and run an execution strategy over the pinned view ``db``;
-        returns ``(results, timed_out, rounds, workers_used)``."""
-        if options.parallelism > 1 and options.mode is not ExecutionMode.SEQUENTIAL:
-            fanned = run_parallel(db, queries, options)
-            if fanned is not None:
-                results, timed_out, rounds, workers = fanned
-                return results, timed_out, rounds, workers
-        if options.mode is ExecutionMode.SEQUENTIAL:
-            return self._run_sequential(db, queries, options) + (1,)
-        return self._run_vectorized(db, queries, options, radius) + (1,)
-
     def _run_vectorized(self, db, queries: np.ndarray, options: QueryOptions, radius):
         """All queries advance in lockstep; one distance call per round.
 
@@ -161,7 +145,7 @@ class QueryEngine:
             )
             for query in queries
         ]
-        rounds, timed_out = self._execute(db, states, queries, deadline, options)
+        rounds, timed_out = self._execute(db, states, queries, deadline)
         return [state.finalize() for state in states], timed_out, rounds
 
     def _run_sequential(self, db, queries: np.ndarray, options: QueryOptions):
@@ -177,24 +161,18 @@ class QueryEngine:
                 use_batch_bounds=False,
                 cascade=options.cascade,
             )
-            done_rounds, late = self._execute(
-                db, [state], queries[index][None, :], deadline, options
-            )
+            done_rounds, late = self._execute(db, [state], queries[index][None, :], deadline)
             rounds += done_rounds
             if late:
                 timed_out.append(index)
             results.append(state.finalize())
         return results, timed_out, rounds
 
-    def _execute(
-        self,
-        db,
-        states: list,
-        queries: np.ndarray,
-        deadline: "Optional[float]",
-        options: "Optional[QueryOptions]" = None,
-    ):
+    def _execute(self, db, states: list, queries: np.ndarray, deadline: "Optional[float]"):
         """Drive ``states`` to completion; returns ``(rounds, timed_out)``.
+
+        Each round gathers every pending candidate row and measures it
+        against its own query in one ``np.linalg.norm`` call.
 
         ``timed_out`` holds the indices (into ``states``) still unfinished
         when the deadline fired; their partial heaps remain valid.
@@ -215,9 +193,8 @@ class QueryEngine:
             if pending:
                 all_sids = [sid for _, sids in pending for sid in sids]
                 owners = [index for index, sids in pending for _ in sids]
-                distances = self._round_distances(
-                    db, data, queries, states, all_sids, owners, options
-                )
+                rows = gather_rows(data, all_sids)
+                distances = np.linalg.norm(rows - queries[owners], axis=1)
                 cursor = 0
                 for index, series_ids in pending:
                     states[index].feed(
@@ -227,108 +204,6 @@ class QueryEngine:
                 rounds += 1
             active = [index for index in active if not states[index].done]
         return rounds, timed_out
-
-    # ------------------------------------------------------------------
-    def _round_distances(
-        self, db, data, queries, states, all_sids, owners, options
-    ) -> np.ndarray:
-        """Exact distances for one round's (query, candidate) pairs.
-
-        Rounds large enough to clear :data:`EARLY_ABANDON_MIN_ELEMENTS` go
-        through the early-abandoning blocked filter when the caller allows
-        it; every other round (including every round of a small batch) is
-        the plain one-shot matrix norm.
-        """
-        owner_idx = np.asarray(owners, dtype=np.intp)
-        if (
-            options is not None
-            and options.early_abandon
-            and len(all_sids) * queries.shape[1] >= EARLY_ABANDON_MIN_ELEMENTS
-        ):
-            thresholds = np.array(
-                [states[index].topk.threshold for index in owners], dtype=float
-            )
-            if np.isfinite(thresholds).any():
-                filtered = self._abandoning_distances(
-                    db, data, queries, all_sids, owner_idx, thresholds
-                )
-                if filtered is not None:
-                    return filtered
-        rows = gather_rows(data, all_sids)
-        query_rows = queries[owner_idx]
-        return np.linalg.norm(rows - query_rows, axis=1)
-
-    def _abandoning_distances(
-        self, db, data, queries, all_sids, owner_idx, thresholds
-    ) -> "Optional[np.ndarray]":
-        """Early-abandoning verification of one round, or ``None`` to fall back.
-
-        Squared distances accumulate over column chunks; a (query, candidate)
-        pair is dropped as soon as its partial sum certainly exceeds the
-        query's k-th-best distance sampled at round start.  Survivors are
-        re-measured with the exact full-row ``np.linalg.norm`` on the
-        ``float64`` rows — row distances are independent, so the values fed
-        onward are bit-identical to the unfiltered round.  Dropped pairs
-        feed ``inf``: their true distance strictly exceeds a full heap's
-        threshold, so, exactly like the true value, ``inf`` self-evicts
-        without touching the heap.  The float32 filter block only ever
-        decides *which* rows get the exact treatment, with a margin covering
-        its cast and accumulation error; thresholds of ``inf`` (heap not
-        full yet) disable abandoning for their pairs naturally.
-        """
-        columns_of = getattr(db, "columns", None)
-        block = columns_of() if callable(columns_of) else None
-        if block is None:
-            return None
-        m = len(all_sids)
-        n = queries.shape[1]
-        finite = np.isfinite(thresholds)
-        qrows = queries[owner_idx]
-        if block.dtype == np.float32:
-            # in-memory float32 filter cache: margin covers the cast error
-            cand = block.gather(all_sids)
-            filt_q = qrows.astype(np.float32)
-            cnorm = block.row_norms[np.asarray(all_sids, dtype=np.intp)]
-            qnorm = np.linalg.norm(qrows, axis=1)
-            limit = (
-                thresholds * (1.0 + 1e-9)
-                + 1e-12
-                + 1e-5 * (qnorm + cnorm)
-                + 1e-9
-            )
-            exact_rows = None
-        else:
-            # float64 memmap rows: gather once (this charges the physical
-            # I/O for every candidate), filter and re-measure the same rows
-            cand = gather_rows(data, all_sids)
-            filt_q = qrows
-            limit = thresholds * (1.0 + 1e-9) + 1e-12
-            exact_rows = cand
-        limit_sq = np.where(finite, limit * limit, np.inf)
-        partial = np.zeros(m, dtype=np.float64)
-        alive = np.ones(m, dtype=bool)
-        chunk = max(32, n // 8)
-        for start in range(0, n, chunk):
-            live = np.flatnonzero(alive)
-            if live.size == 0:
-                break
-            diff = cand[live, start : start + chunk] - filt_q[live, start : start + chunk]
-            partial[live] += np.einsum("ij,ij->i", diff, diff, dtype=np.float64)
-            alive[live] = partial[live] <= limit_sq[live]
-        survivors = np.flatnonzero(alive)
-        distances = np.full(m, np.inf, dtype=float)
-        if survivors.size:
-            if exact_rows is None:
-                rows = gather_rows(data, [all_sids[i] for i in survivors])
-            else:
-                rows = exact_rows[survivors]
-            distances[survivors] = np.linalg.norm(rows - qrows[survivors], axis=1)
-        if obs.is_enabled():
-            obs.count("verify.filter_rounds")
-            dropped = m - int(survivors.size)
-            if dropped:
-                obs.count("verify.abandoned", dropped)
-        return distances
 
 
 def _auto_batch_bounds(db, n_queries: int) -> bool:

@@ -21,15 +21,15 @@ __all__ = ["ExecutionMode", "QueryOptions", "BatchResult"]
 class ExecutionMode(str, Enum):
     """How :meth:`repro.engine.QueryEngine.knn_batch` executes a batch.
 
-    ``AUTO`` lets the engine choose (currently: vectorised, fanned across a
-    worker pool when ``parallelism > 1``; a multi-query scan with an adaptive
-    reducer keeps the lazy cascade heap rather than the columnar store while
-    the one-query-vs-all kernels are rolled out in stages).  ``VECTORIZED``
-    forces the batched path: stacked representation bounds where the method
-    supports them and one NumPy verification pass per round across all
-    pending (query, candidate) pairs.  ``SEQUENTIAL`` runs each query to completion on its
-    own with scalar bounds — the classic per-query loop, kept as the
-    benchmark baseline.  All modes return identical ids and distances.
+    ``AUTO`` lets the engine choose (currently: vectorised, except that a
+    multi-query scan with an adaptive reducer keeps the lazy cascade heap
+    rather than the columnar store while the one-query-vs-all kernels are
+    rolled out in stages).  ``VECTORIZED`` forces the batched path: stacked
+    representation bounds where the method supports them and one NumPy
+    verification pass per round across all pending (query, candidate)
+    pairs.  ``SEQUENTIAL`` runs each query to completion on its own with
+    scalar bounds — the classic per-query loop, kept as the benchmark
+    baseline.  All modes return identical ids and distances.
     """
 
     AUTO = "auto"
@@ -50,9 +50,6 @@ class QueryOptions:
         deadline_s: optional wall-clock budget for the whole batch; queries
             unfinished at the deadline return their best-so-far neighbours
             and are listed in :attr:`BatchResult.timed_out`.
-        parallelism: worker processes for the frontier walks (1 = in
-            process).  Honoured in ``AUTO``/``VECTORIZED`` mode when the raw
-            data can be shared; silently sequential otherwise.
         lookahead: candidates a tree walk or the lazy cascade heap verifies
             per query per round after the initial ``k`` (1 keeps the classic
             one-at-a-time refinement's counts); a sorted scan ignores it.
@@ -64,27 +61,18 @@ class QueryOptions:
             either way; ``False`` forces those bounds to evaluate eagerly
             (the pre-cascade paths, kept for benchmarking and equivalence
             testing).
-        early_abandon: allow large verification rounds to drop (query,
-            candidate) pairs whose accumulating squared distance certainly
-            exceeds the query's current k-th-best distance.  Survivors are
-            re-measured exactly, so results are identical; only engages for
-            rounds above ``EARLY_ABANDON_MIN_ELEMENTS`` pair-elements.
     """
 
     k: int = 1
     mode: "Union[ExecutionMode, str]" = ExecutionMode.AUTO
     deadline_s: Optional[float] = None
-    parallelism: int = 1
     lookahead: int = 1
     cascade: bool = True
-    early_abandon: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ExecutionMode(self.mode))
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if self.lookahead < 1:
             raise ValueError("lookahead must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -103,7 +91,6 @@ class BatchResult:
     timed_out: "List[int]" = field(default_factory=list)
     elapsed_s: float = 0.0
     rounds: int = 0
-    parallelism: int = 1
     #: database generation the batch was served at (``None`` when the
     #: database has no lifecycle tracking) — the whole batch saw exactly
     #: this version, regardless of concurrent inserts/deletes.

@@ -49,10 +49,10 @@ def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
     """Stack the raw rows for ``series_ids`` into a ``(len, n)`` matrix.
 
     In-memory arrays fancy-index in one shot.  Disk-backed views exposing
-    ``gather`` resolve the whole batch in one call (memory-mapped column
-    slice, or a page-sequential batched read) with the physical I/O still
-    charged per row; anything supporting only integer ``data[i]`` falls
-    back to row-by-row reads.
+    ``gather`` resolve the whole batch in one call (a slice of the page
+    file's memmap, or a page-sequential batched read) with the physical I/O
+    still charged per row; anything supporting only integer ``data[i]``
+    falls back to row-by-row reads.
     """
     if isinstance(data, np.ndarray):
         return data[np.asarray(series_ids, dtype=np.intp)]
@@ -132,9 +132,7 @@ class ScanState(_QueryState):
     bounds within the current threshold (which only falls).  :meth:`feed`
     replays the stop rule over a block in order — the check one-row rounds
     make between rounds — and at the first bound above the threshold the
-    query is done and the rest is discarded, unoffered and uncounted.  An
-    early-abandoned ``inf`` replays as its true distance would: that exceeds
-    the round-start threshold, which bounds every later one.
+    query is done and the rest is discarded, unoffered and uncounted.
 
     Without a store (``DistanceMode.AE``, CHEBY), or when the engine asks
     for scalar bounds (``use_batch_bounds=False``: the sequential baseline,

@@ -101,15 +101,14 @@ class EngineSpec:
 
     k: int = 8
     mode: str = "auto"
-    parallelism: int = 1
     lookahead: int = 1
     fsync: str = "batch"
     fsync_batch: int = 64
     shards: int = 1
 
     def __post_init__(self):
-        if self.k < 1 or self.parallelism < 1 or self.lookahead < 1:
-            raise ValueError("k, parallelism and lookahead must be >= 1")
+        if self.k < 1 or self.lookahead < 1:
+            raise ValueError("k and lookahead must be >= 1")
         if self.fsync not in ("always", "batch", "never", "off"):
             raise ValueError(f"unknown fsync policy {self.fsync!r}")
         if self.shards < 1:
@@ -118,8 +117,6 @@ class EngineSpec:
     @property
     def label(self) -> str:
         parts = [f"k{self.k}", self.mode]
-        if self.parallelism > 1:
-            parts.append(f"par{self.parallelism}")
         if self.fsync != "batch":
             parts.append(f"fsync-{self.fsync}")
         if self.shards > 1:

@@ -73,12 +73,7 @@ def run_batch_knn(trial: TrialSpec) -> "Dict[str, float]":
     db.ingest(data, bulk=db.tree is not None)
     ingest_s = time.perf_counter() - started
 
-    options = QueryOptions(
-        k=engine.k,
-        mode=engine.mode,
-        parallelism=engine.parallelism,
-        lookahead=engine.lookahead,
-    )
+    options = QueryOptions(k=engine.k, mode=engine.mode, lookahead=engine.lookahead)
     started = time.perf_counter()
     sequential = db.knn_batch(
         queries, QueryOptions(k=engine.k, mode=ExecutionMode.SEQUENTIAL)

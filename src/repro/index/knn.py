@@ -237,8 +237,7 @@ def record_search(result: KNNResult, mode: str) -> None:
     ``result.n_candidates`` is how many entries met the representation-bound
     stage; those never verified were pruned by the active bound, so the
     per-bound pruning counters plus ``knn.entries_refined`` reconstruct the
-    paper's pruning power from a report alone.  Shared by the batched engine
-    and (in worker-pool mode) by the parent re-recording worker results.
+    paper's pruning power from a report alone.
     """
     if not obs.is_enabled():
         return
@@ -515,11 +514,9 @@ class SeriesDatabase(MutableDatabase):
         return self._cascade
 
     def columns(self):
-        """A packed :class:`~repro.storage.columns.ColumnBlockStore` over the
-        raw rows, or ``None`` when unavailable: a float32 filter cache for
-        in-memory rows, the store's float64 memmap block for paged ones.
-        """
-        return None if self.data is None else self._rows.columns()
+        """The raw rows as one ``(count, n)`` float64 array without a copy
+        (``None`` before the first row lands)."""
+        return self.data
 
     def save(self, directory) -> None:
         """Persist this fitted database as a directory (see :mod:`repro.io`)."""
@@ -590,6 +587,8 @@ class SeriesDatabase(MutableDatabase):
         :func:`repro.lifecycle.compact` re-packs them).  With a WAL attached
         the record is logged (and fsynced per policy) before any state
         changes; then the raw row lands in the row store, then the index.
+        A series of the wrong length or with a NaN or infinite value raises
+        ``ValueError`` before anything is logged.
         """
         series = np.asarray(series, dtype=float)
         if series.ndim != 1:
@@ -615,6 +614,10 @@ class SeriesDatabase(MutableDatabase):
             raise ValueError(
                 f"series length {matrix.shape[1]} does not match stored {self.data.shape[1]}"
             )
+        # before the WAL: a logged row that cannot be reduced would fail
+        # every replay and the home would never open again
+        if not np.isfinite(matrix).all():
+            raise ValueError("series must be finite (no NaN or infinite values)")
         ids = list(range(self.count, self.count + matrix.shape[0]))
         if self._wal is not None:
             for series_id, row in zip(ids, matrix):

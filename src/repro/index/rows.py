@@ -15,7 +15,6 @@ two implementations — :class:`MemoryRows` here (``kind: memory``) and
   store holding ``rows`` rows?
 * ``clear()`` — drop every row (memory rows only: crash repair of a
   sharded home, whose shards live in memory);
-* ``columns()`` — a packed block for early-abandoning verification;
 * ``persist(directory)`` — write the rows into a database directory and
   return the kind-specific head of its ``config.json``.
 """
@@ -33,16 +32,13 @@ class MemoryRows:
     """Raw rows in an amortised-doubling ndarray buffer.
 
     ``view`` is always ``buffer[:count]`` and is re-sliced only when a row
-    lands, so its identity doubles as the cache key of the float32 filter
-    block.  Existing snapshots keep views into the old buffer, so growing
+    lands.  Existing snapshots keep views into the old buffer, so growing
     never moves rows out from under a pinned reader.
     """
 
     def __init__(self):
         self._buf: Optional[np.ndarray] = None
         self.view: Optional[np.ndarray] = None
-        #: ``(view, ColumnBlockStore)`` packed-block cache; see columns()
-        self._columns = None
 
     def __len__(self) -> int:
         return 0 if self.view is None else self.view.shape[0]
@@ -71,18 +67,6 @@ class MemoryRows:
             self._buf = grown
         self._buf[count] = series
         self.view = self._buf[: count + 1]
-
-    def columns(self):
-        """A float32 filter cache over the rows, rebuilt whenever the view
-        object changes (i.e. after appends or a wholesale adopt)."""
-        cached = self._columns
-        if cached is not None and cached[0] is self.view:
-            return cached[1]
-        from ..storage.columns import ColumnBlockStore
-
-        block = ColumnBlockStore.from_array(self.view)
-        self._columns = (self.view, block)
-        return block
 
     def persist(self, directory) -> dict:
         """Write the rows as ``data.npz``."""

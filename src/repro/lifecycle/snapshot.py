@@ -48,7 +48,7 @@ class Snapshot:
         self.data = db.data
         self.tree = db.tree
         self._released = False
-        self._engine = None  # worker forks may stash a QueryEngine here
+        self._engine = None  # see engine()
 
     # -- delegation to the owning database ------------------------------
     @property
@@ -87,15 +87,6 @@ class Snapshot:
     def cascade(self):
         """The owning database's bound cascade (suite-scoped; delegated)."""
         return self._db.cascade()
-
-    def columns(self):
-        """The owning database's packed column block.
-
-        Row ids are append-only and existing rows never mutate in place, so
-        a block built over the live data answers the pinned view's ids with
-        identical bytes.
-        """
-        return self._db.columns()
 
     def engine(self):
         """A :class:`repro.engine.QueryEngine` over this pinned view.

@@ -52,7 +52,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "engine.pairs_verified": (COUNTER, "(query, candidate) pairs resolved in batched verification"),
     "engine.timeouts": (COUNTER, "queries finalised early by a batch deadline"),
     "engine.batch_size": (HISTOGRAM, "queries per knn_batch / range_batch call"),
-    "engine.parallelism": (GAUGE, "worker processes used by the last batch"),
     # ----------------------------------------------------------- DBCH-tree
     "dbch.inserts": (COUNTER, "entries inserted into a DBCH-tree"),
     "dbch.deletes": (COUNTER, "entries deleted from a DBCH-tree"),
@@ -93,16 +92,13 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "cascade.refines": (COUNTER, "cascade items refined to their exact bound"),
     "cascade.entries_skipped": (COUNTER, "entry bounds never refined past the cheap tier"),
     "cascade.pairwise_skipped": (COUNTER, "DBCH build pairwise evaluations skipped by the accelerator"),
-    # --------------------------------------------------------- verification
-    "verify.filter_rounds": (COUNTER, "verification rounds run through the early-abandoning filter"),
-    "verify.abandoned": (COUNTER, "(query, candidate) pairs abandoned before full distance accumulation"),
     # ------------------------------------------------------------- storage
     "storage.page_reads": (COUNTER, "physical page reads from the backing file"),
     "storage.page_writes": (COUNTER, "physical page writes to the backing file"),
     "storage.cache_hits": (COUNTER, "page reads served by the LRU cache"),
     "pages.batch_reads": (COUNTER, "batched multi-row reads through the page cache"),
-    "columns.builds": (COUNTER, "packed column blocks constructed (cache or memmap)"),
-    "columns.gathers": (COUNTER, "bulk row gathers served by a packed column block"),
+    "columns.builds": (COUNTER, "memory maps of a page file's row region"),
+    "columns.gathers": (COUNTER, "bulk row gathers served by a page file's memory map"),
     # ----------------------------------------------------------- lifecycle
     "db.inserts": (COUNTER, "series inserted into a mutable database"),
     "db.deletes": (COUNTER, "series tombstoned in a mutable database"),

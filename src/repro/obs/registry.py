@@ -177,45 +177,6 @@ class MetricsRegistry:
                 }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def merge_snapshot(self, snap: "Dict[str, Dict]", exclude=()) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Counters add, gauges take the incoming value (last-writer-wins, the
-        same rule a single registry applies), histograms merge their exact
-        aggregates; incoming percentiles cannot be merged exactly, so the
-        incoming mean stands in for the missing raw samples, weighted by the
-        incoming count.  ``exclude`` names (or dotted prefixes ending in
-        ``.``) are skipped — the engine uses this to avoid double-counting
-        metrics it re-records itself from worker results.
-        """
-
-        def skipped(name: str) -> bool:
-            return any(
-                name == entry or (entry.endswith(".") and name.startswith(entry))
-                for entry in exclude
-            )
-
-        for name, value in snap.get("counters", {}).items():
-            if not skipped(name):
-                self.counter(name).inc(int(value))
-        for name, value in snap.get("gauges", {}).items():
-            if not skipped(name):
-                self.gauge(name).set(value)
-        for name, incoming in snap.get("histograms", {}).items():
-            if skipped(name) or not incoming.get("count"):
-                continue
-            h = self.histogram(name)
-            n = int(incoming["count"])
-            h.count += n
-            h.total += float(incoming["sum"])
-            h.min = min(h.min, float(incoming["min"]))
-            h.max = max(h.max, float(incoming["max"]))
-            mean = float(incoming["sum"]) / n
-            h.samples.extend([mean] * min(n, SAMPLE_CAP - 1))
-            while len(h.samples) >= SAMPLE_CAP:
-                del h.samples[1::2]
-                h._stride *= 2
-
 
 #: the process-local default registry all instrumentation writes to
 _REGISTRY = MetricsRegistry(enabled=False)

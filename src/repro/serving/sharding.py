@@ -363,7 +363,6 @@ class ShardedEngine:
                 timed_out=sorted(timed_out),
                 elapsed_s=time.perf_counter() - start,
                 rounds=max((b.rounds for b in batches if b is not None), default=0),
-                parallelism=max((b.parallelism for b in batches if b is not None), default=1),
                 generation=tuple(snap.generation for snap in snaps),
             )
         finally:
@@ -446,6 +445,10 @@ class ShardedEngine:
             raise ValueError("insert_batch expects a (count, n) array of series")
         if matrix.shape[0] == 0:
             return []
+        # the shards check too, but a row rejected by a later shard would
+        # leave the earlier shards' rows in and break the round-robin prefix
+        if not np.isfinite(matrix).all():
+            raise ValueError("series must be finite (no NaN or infinite values)")
         with self._lock:
             n = len(self._shards)
             gids = list(range(self._next_id, self._next_id + matrix.shape[0]))

@@ -1,8 +1,6 @@
-"""Disk-backed storage substrate: paged raw series with I/O accounting,
-plus packed column blocks for bulk verification."""
+"""Disk-backed storage substrate: paged raw series with I/O accounting."""
 
-from .columns import ColumnBlockStore
 from .database import DiskBackedDatabase
 from .pages import PagedSeriesStore, PageStats
 
-__all__ = ["PagedSeriesStore", "PageStats", "DiskBackedDatabase", "ColumnBlockStore"]
+__all__ = ["PagedSeriesStore", "PageStats", "DiskBackedDatabase"]

@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .. import obs
 from ..index.knn import SeriesDatabase
 from ..kinds import DistanceMode, IndexKind
 from ..reduction.base import Reducer
@@ -89,15 +90,19 @@ class DiskBackedDatabase(SeriesDatabase):
         if self.store is not None:
             self.store.stats.reset()
 
+    def columns(self):
+        """The page file's read-only memmap of the raw rows (no copy), or
+        ``None`` before ingest or where the file cannot be mapped."""
+        return None if self.store is None else self.store.mapped_rows()
+
 
 class PagedRows:
     """Row store over a :class:`PagedSeriesStore` (see :mod:`repro.index.rows`).
 
     Doubles as the array-like readers see as ``db.data``: ``rows[i]`` reads
     series ``i`` through the page cache, and batched access goes through
-    :meth:`gather`, which prefers the store's memory-mapped column block
-    (one contiguous slice, physical I/O charged per spanned page) and falls
-    back to the page-cache batch read.
+    :meth:`gather`, which slices the store's memmap (physical I/O charged
+    per spanned page) and falls back to the page-cache batch read.
     """
 
     def __init__(self, path: PathLike, page_size: int, cache_pages: int):
@@ -136,10 +141,6 @@ class PagedRows:
         """Append the row's page bytes, or overwrite them in place."""
         self.store.put_row(series_id, series)
 
-    def columns(self):
-        """The store's mapped :class:`~repro.storage.columns.ColumnBlockStore`."""
-        return self.store.mapped_columns()
-
     def persist(self, directory: pathlib.Path) -> dict:
         """Copy the page file in as ``series.bin`` (unless it already lives
         there); raw series keep living on pages after a reopen."""
@@ -165,7 +166,10 @@ class PagedRows:
 
     def gather(self, series_ids) -> np.ndarray:
         """Rows for ``series_ids`` as one ``(len, n)`` float64 matrix."""
-        block = self.store.mapped_columns()
-        if block is not None:
-            return np.asarray(block.gather(series_ids), dtype=float)
-        return self.store.get_rows(series_ids)
+        mapped = self.store.mapped_rows()
+        if mapped is None:
+            return self.store.get_rows(series_ids)
+        idx = np.asarray(series_ids, dtype=np.intp)
+        obs.count("columns.gathers")
+        self.store.account_mapped_rows(idx)
+        return np.asarray(mapped[idx], dtype=float)

@@ -13,7 +13,7 @@ import os
 import pathlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class PagedSeriesStore:
         self._count = 0
         self._length = 0
         self._row_bytes = 0
-        #: ``(row_count, ColumnBlockStore)`` memmap cache; see mapped_columns
-        self._mapped = None
+        #: read-only memmap of the row region; see mapped_rows
+        self._mapped: "Optional[np.memmap]" = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -178,29 +178,38 @@ class PagedSeriesStore:
         return self.get_rows(range(self._count))
 
     # ------------------------------------------------------------------
-    def mapped_columns(self):
-        """A read-only column-block view of the row region, or ``None``.
+    def mapped_rows(self) -> "Optional[np.memmap]":
+        """A read-only ``(count, n)`` float64 memmap of the row region, or ``None``.
 
-        Built lazily and rebuilt whenever the row count changes (appends
-        extend the file past the mapped shape).  Reads through the mapping
-        bypass the page cache, so callers must route their accounting
-        through :meth:`account_mapped_rows` — the returned block does this
-        itself on every ``gather``.
+        The page file's layout (one header page, then ``count`` contiguous
+        little-endian rows) already is a row matrix, so gathering many rows
+        is one fancy-index slice instead of per-row page reads, and the
+        values are the stored bytes themselves.  Mapped lazily and remapped
+        whenever the row count changes (appends extend the file past the
+        mapped shape); ``None`` for an empty store or when the file cannot
+        be mapped, so callers fall back to :meth:`get_rows`.  Reads through
+        the mapping bypass the page cache: charge them with
+        :meth:`account_mapped_rows`.
         """
         if self._count == 0:
             return None
-        cached = self._mapped
-        if cached is not None and cached[0] == self._count:
-            return cached[1]
-        from .columns import ColumnBlockStore
-
+        mapped = self._mapped
+        if mapped is not None and mapped.shape[0] == self._count:
+            return mapped
         try:
-            block = ColumnBlockStore.from_paged(self)
+            mapped = np.memmap(
+                self.path,
+                mode="r",
+                dtype="<f8",
+                offset=self.page_size,
+                shape=(self._count, self._length),
+            )
         except (OSError, ValueError):
             self._mapped = None
             return None
-        self._mapped = (self._count, block)
-        return block
+        obs.count("columns.builds")
+        self._mapped = mapped
+        return mapped
 
     def account_mapped_rows(self, series_ids) -> None:
         """Fold memory-mapped row reads into the physical-I/O counters.

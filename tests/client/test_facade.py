@@ -25,6 +25,7 @@ from repro.client import (
 from repro.continuous import RangeWatch
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode
+from repro.lifecycle import DurabilityOptions
 from repro.reduction import PAA, SAPLAReducer
 from repro.serving import FrameError, ReproServer, ServerConfig, ShardedEngine
 from repro.storage import DiskBackedDatabase
@@ -250,6 +251,76 @@ def test_bad_queries_raise_one_error_on_every_backend(backend, bad, tmp_path):
             host.stop()
     if backend == "tcp":
         assert knn_error.value.code == range_error.value.code == "bad_request"
+
+
+def _wal_bytes(home) -> int:
+    return sum(path.stat().st_size for path in home.rglob("wal.log"))
+
+
+@pytest.mark.parametrize("backend", ["memory", "disk", "sharded", "tcp"])
+def test_a_rejected_non_finite_insert_leaves_a_durable_home_untouched(backend, tmp_path):
+    """A NaN or infinite series is refused before the WAL append: the row
+    count, the log and the next id stay put, and the home reopens.  (A
+    logged row that cannot be reduced used to fail every later replay.)"""
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(64, LENGTH)).cumsum(axis=1)
+    home = tmp_path / "home"
+    if backend == "disk":
+        db = DiskBackedDatabase(
+            SAPLAReducer(8), tmp_path / "rows.bin", distance_mode=DistanceMode.LB
+        )
+    else:
+        db = SeriesDatabase(SAPLAReducer(8), distance_mode=DistanceMode.LB)
+    db.ingest(data, bulk=True)
+    if backend == "sharded":
+        ShardedEngine.from_database(db, 2).save(home)
+    else:
+        db.save(home)
+    local = client = connect(home, DurabilityOptions(fsync="always"))
+    engine, host = local.database, None
+    if backend == "tcp":
+        host = _ServerThread(engine)
+        client = connect(f"tcp://127.0.0.1:{host.port}")
+    nan_row, inf_row = np.full(LENGTH, np.nan), data[0].copy()
+    inf_row[5] = np.inf
+    wal = _wal_bytes(home)
+    try:
+        for bad in (nan_row, inf_row):
+            with pytest.raises(ServerError if host else ValueError) as error:
+                client.insert(bad)
+            if host:
+                assert error.value.code == "bad_request"
+        with pytest.raises(ValueError):
+            engine.insert_batch(np.stack([data[1] + 0.5, nan_row]))
+        assert engine.count == 64 and _wal_bytes(home) == wal
+        assert client.insert(data[2] + 0.5) == 64
+    finally:
+        client.close()
+        if host is not None:
+            host.stop()
+        local.close()
+    with connect(home) as reopened:
+        assert reopened.database.count == 65
+        assert reopened.knn(KnnRequest(queries=data[2] + 0.5, k=1))[0].ids == [64]
+
+
+def test_a_knn_frame_with_a_retired_option_gets_the_same_reply():
+    """Older clients still send ``early_abandon``; the server ignores it."""
+    db = make_db()
+    queries = np.asarray(db.data)[:2] + 0.01
+    request = KnnRequest(queries=queries, k=3)
+    host = _ServerThread(db)
+    try:
+        with TcpClient("127.0.0.1", host.port) as client:
+            current = client._call("knn", request.to_payload())
+            older = client._call("knn", {**request.to_payload(), "early_abandon": False})
+    finally:
+        host.stop()
+    assert older["results"] == current["results"]
+    assert_matches([QueryResult.from_payload(r) for r in older["results"]],
+                   reference_answers(db, queries, k=3))
+    with pytest.raises(TypeError):
+        KnnRequest(queries=queries, early_abandon=False)
 
 
 class _InsertOnGather:

@@ -311,6 +311,37 @@ class TestDeliveryGuarantee:
         evaluator.insert(np.asarray(db.data)[1] + 0.001)  # ingest keeps working
         assert len(notes) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [KnnWatch(query=np.zeros(LENGTH // 2), k=2), RangeWatch(query=np.zeros(LENGTH // 2), radius=1.0)],
+        ids=["knn", "range"],
+    )
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_a_wrong_length_watch_on_an_empty_target_refuses_rows_until_unsubscribed(
+        self, bad, sharded
+    ):
+        """An empty target has no row to check a watch's query against, so
+        the watch subscribes; the rows it could not measure are refused
+        before they land, naming the subscription, and nothing else breaks."""
+        db = SeriesDatabase(PAA(8), index=None)
+        target = ShardedEngine([db, SeriesDatabase(PAA(8), index=None)]) if sharded else db
+        evaluator = ContinuousEvaluator(target)
+        good_sid, notes = collect(evaluator, KnnWatch(query=np.zeros(LENGTH), k=2))
+        bad_sid = evaluator.subscribe(bad)
+        rows = make_db(count=3).data
+        with pytest.raises(ValueError, match=bad_sid):
+            evaluator.insert(rows[0])
+        with pytest.raises(ValueError, match=bad_sid):
+            evaluator.insert_batch(rows[:2])
+        assert target.count == 0 and len(notes) == 1
+        assert evaluator.unsubscribe(bad_sid) is True
+        assert evaluator.insert(rows[0]) == 0
+        assert evaluator.insert_batch(rows[1:]) == [1, 2]
+        assert target.count == 3
+        reference = target.knn_batch(np.zeros((1, LENGTH)), QueryOptions(k=2)).results[0]
+        assert list(notes[-1].ids) == list(reference.ids)
+        assert list(evaluator.registry.subscriptions()) == [good_sid]
+
     def test_refresh_of_an_anomaly_watch_is_a_no_op_even_after_a_restart(self):
         db = make_db(count=4)
         evaluator = ContinuousEvaluator(db)

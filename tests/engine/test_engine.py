@@ -1,10 +1,10 @@
-"""Engine behaviour: errors, deadlines, parallelism, metrics, disk route."""
+"""Engine behaviour: errors, deadlines, metrics, disk route."""
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.engine import ExecutionMode, QueryEngine, QueryOptions
+from repro.engine import QueryEngine, QueryOptions
 from repro.engine.states import BLOCK_ROWS
 from repro.index import SeriesDatabase
 from repro.kinds import DistanceMode, IndexKind
@@ -63,24 +63,6 @@ class TestDeadline:
         db, data = build()
         batch = db.knn_batch(data[:4], QueryOptions(k=4, deadline_s=60.0))
         assert batch.timed_out == []
-
-
-class TestParallelism:
-    def test_parallel_results_match_in_process(self):
-        db, data = build(count=40)
-        queries = data[:9] + 0.05
-        local = db.knn_batch(queries, QueryOptions(k=4))
-        fanned = db.knn_batch(queries, QueryOptions(k=4, parallelism=3))
-        for a, b in zip(local.results, fanned.results):
-            assert a.ids == b.ids
-            assert a.distances == b.distances
-
-    def test_sequential_mode_never_fans_out(self):
-        db, data = build()
-        batch = db.knn_batch(
-            data[:4], QueryOptions(k=3, mode=ExecutionMode.SEQUENTIAL, parallelism=4)
-        )
-        assert batch.parallelism == 1
 
 
 class TestMetrics:

@@ -348,48 +348,18 @@ def test_cascade_toggle_is_invisible(name, mode, index):
     data = dataset(seed=3)
     db = build(name, index, mode, data)
     queries = np.stack([data[5] + 0.1, data[14] - 0.2, dataset(1, 48, seed=8)[0]])
-    off = QueryOptions(k=5, cascade=False, early_abandon=False)
+    off = QueryOptions(k=5, cascade=False)
     on = db.knn_batch(queries, QueryOptions(k=5))
     base = db.knn_batch(queries, off)
     seq_on = db.knn_batch(queries, QueryOptions(k=5, mode=ExecutionMode.SEQUENTIAL))
     seq_base = db.knn_batch(
         queries,
-        QueryOptions(
-            k=5, mode=ExecutionMode.SEQUENTIAL, cascade=False, early_abandon=False
-        ),
+        QueryOptions(k=5, mode=ExecutionMode.SEQUENTIAL, cascade=False),
     )
     for a, b, c, d in zip(on.results, base.results, seq_on.results, seq_base.results):
         assert_same_accounting(a, b)
         assert_same_accounting(c, d)
         assert_same(a, c)
-
-
-def test_early_abandon_forced_on_is_exact():
-    """With the engage gate lowered to one element, abandoning block rounds
-    still return the ids, distances and counters of the plain matrix norm
-    (an abandoned ``inf`` replays exactly as its true distance would), and
-    the abandon counters prove the filter actually ran."""
-    import repro.engine.engine as engine_mod
-    from repro import obs
-
-    data = dataset(count=64, n=48, seed=5)
-    db = build("PAA", None, DistanceMode.PAR, data)
-    queries = np.concatenate([data[:4] + 0.05, dataset(4, 48, seed=11)])
-    plain = db.knn_batch(queries, QueryOptions(k=3, early_abandon=False))
-    saved = engine_mod.EARLY_ABANDON_MIN_ELEMENTS
-    engine_mod.EARLY_ABANDON_MIN_ELEMENTS = 1
-    try:
-        with obs.capture() as session:
-            filtered = db.knn_batch(queries, QueryOptions(k=3))
-    finally:
-        engine_mod.EARLY_ABANDON_MIN_ELEMENTS = saved
-    counters = session.report().counters
-    assert counters["verify.filter_rounds"] > 0
-    assert counters["verify.abandoned"] > 0
-    for a, b in zip(filtered.results, plain.results):
-        assert_same_accounting(a, b)
-    for query, result in zip(queries, filtered.results):
-        assert_same(result, linear_scan(data, query, 3))
 
 
 class TestPropertyEquivalence:
@@ -443,18 +413,13 @@ class TestPropertyEquivalence:
         k = draw.draw(st.integers(1, count + 2), label="k")
         db = SeriesDatabase(REDUCERS[name](6), index=index, distance_mode=mode)
         db.ingest(data)
-        off = QueryOptions(k=k, cascade=False, early_abandon=False)
+        off = QueryOptions(k=k, cascade=False)
         on = db.knn_batch(queries, QueryOptions(k=k, mode=ExecutionMode.VECTORIZED))
         base = db.knn_batch(queries, off)
         seq_on = db.knn_batch(queries, QueryOptions(k=k, mode=ExecutionMode.SEQUENTIAL))
         seq_base = db.knn_batch(
             queries,
-            QueryOptions(
-                k=k,
-                mode=ExecutionMode.SEQUENTIAL,
-                cascade=False,
-                early_abandon=False,
-            ),
+            QueryOptions(k=k, mode=ExecutionMode.SEQUENTIAL, cascade=False),
         )
         for a, b, c, d in zip(
             on.results, base.results, seq_on.results, seq_base.results
@@ -472,28 +437,6 @@ class TestPropertyEquivalence:
                 assert from_store == range_walk(db, query, radius, use_batch_bounds=False)
                 if index is None:
                     assert from_store.n_verified == sum(b <= radius for b in bounds)
-
-    @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_random_early_abandon_never_drops_a_true_neighbour(self, seed, k):
-        """Forced-on abandoning still reproduces the brute-force answer."""
-        import repro.engine.engine as engine_mod
-
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=(20, 32)).cumsum(axis=1)
-        queries = rng.normal(size=(3, 32)).cumsum(axis=1)
-        db = SeriesDatabase(PAA(6), index=None)
-        db.ingest(data)
-        plain = db.knn_batch(queries, QueryOptions(k=k, early_abandon=False))
-        saved = engine_mod.EARLY_ABANDON_MIN_ELEMENTS
-        engine_mod.EARLY_ABANDON_MIN_ELEMENTS = 1
-        try:
-            batch = db.knn_batch(queries, QueryOptions(k=k))
-        finally:
-            engine_mod.EARLY_ABANDON_MIN_ELEMENTS = saved
-        for i, query in enumerate(queries):
-            assert_same(batch.results[i], linear_scan(data, query, k))
-            assert_same_accounting(batch.results[i], plain.results[i])
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)

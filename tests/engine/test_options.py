@@ -1,5 +1,7 @@
 """The typed query surface: QueryOptions validation and BatchResult shape."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import BatchResult, ExecutionMode, QueryOptions
@@ -12,8 +14,8 @@ class TestQueryOptions:
         assert options.k == 1
         assert options.mode is ExecutionMode.AUTO
         assert options.deadline_s is None
-        assert options.parallelism == 1
         assert options.lookahead == 1
+        assert options.cascade is True
 
     def test_mode_accepts_enum_and_value_strings(self):
         assert QueryOptions(mode=ExecutionMode.SEQUENTIAL).mode is ExecutionMode.SEQUENTIAL
@@ -28,7 +30,7 @@ class TestQueryOptions:
         [
             {"k": 0},
             {"k": -3},
-            {"parallelism": 0},
+            {"lookahead": -1},
             {"lookahead": 0},
             {"deadline_s": 0.0},
             {"deadline_s": -1.0},
@@ -37,6 +39,16 @@ class TestQueryOptions:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             QueryOptions(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"parallelism": 2}, {"early_abandon": False}])
+    def test_retired_fields_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            QueryOptions(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(QueryOptions)] == [
+            "k", "mode", "deadline_s", "lookahead", "cascade"
+        ]
 
     def test_frozen(self):
         options = QueryOptions(k=3)

@@ -1,4 +1,4 @@
-"""Histogram percentiles, snapshot merging, and the trial-ingest contract."""
+"""Histogram percentiles, report schema compatibility, and the trial-ingest contract."""
 
 import pytest
 
@@ -62,52 +62,6 @@ class TestPercentiles:
         assert "p50=4" in row["value"] and "p99=4" in row["value"]
 
 
-class TestMergeSnapshot:
-    def incoming(self):
-        other = MetricsRegistry(enabled=True)
-        other.counter("knn.queries").inc(5)
-        other.gauge("engine.parallelism").set(3.0)
-        for value in (1.0, 3.0):
-            other.histogram("knn.verified_per_query").observe(value)
-        return other.snapshot()
-
-    def test_counters_add_gauges_overwrite_histograms_fold(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("knn.queries").inc(2)
-        registry.gauge("engine.parallelism").set(1.0)
-        registry.histogram("knn.verified_per_query").observe(10.0)
-
-        registry.merge_snapshot(self.incoming())
-
-        snap = registry.snapshot()
-        assert snap["counters"]["knn.queries"] == 7
-        assert snap["gauges"]["engine.parallelism"] == 3.0
-        h = snap["histograms"]["knn.verified_per_query"]
-        assert h["count"] == 3
-        assert h["sum"] == 14.0
-        assert h["min"] == 1.0 and h["max"] == 10.0
-
-    def test_exclude_exact_name_and_dotted_prefix(self):
-        other = MetricsRegistry(enabled=True)
-        other.counter("knn.queries").inc(5)
-        other.counter("knn.pruned.aligned").inc(9)
-        other.counter("sapla.transforms").inc(2)
-
-        registry = MetricsRegistry(enabled=True)
-        registry.merge_snapshot(
-            other.snapshot(), exclude=("knn.queries", "knn.pruned.")
-        )
-        counters = registry.snapshot()["counters"]
-        assert "knn.queries" not in counters
-        assert "knn.pruned.aligned" not in counters
-        assert counters["sapla.transforms"] == 2
-
-    def test_empty_incoming_histogram_ignored(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.merge_snapshot({"histograms": {"knn.verified_per_query": {"count": 0}}})
-        assert registry.snapshot()["histograms"] == {}
-
-
 class TestSchemaCompat:
     def test_v1_reports_still_load(self):
         assert "repro.obs/1" in COMPATIBLE_SCHEMAS
@@ -145,7 +99,7 @@ class TestTrialMetricsContract:
     def test_flattening_kinds_and_order(self):
         with obs.capture():
             obs.count("knn.queries", 3)
-            obs.gauge_set("engine.parallelism", 2.0)
+            obs.gauge_set("shard.count", 2.0)
             obs.observe("knn.verified_per_query", 5.0)
             with obs.span("bench.run"):
                 pass
@@ -155,7 +109,7 @@ class TestTrialMetricsContract:
         by_name = {r["name"]: r for r in rows}
         assert by_name["knn.queries"]["kind"] == "counter"
         assert by_name["knn.queries"]["value"] == 3.0
-        assert by_name["engine.parallelism"]["kind"] == "gauge"
+        assert by_name["shard.count"]["kind"] == "gauge"
         for field in RunReport.HISTOGRAM_FIELDS:
             assert by_name[f"knn.verified_per_query/{field}"]["kind"] == "histogram"
         assert by_name["knn.verified_per_query/p50"]["value"] == 5.0

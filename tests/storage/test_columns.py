@@ -1,101 +1,91 @@
-"""Packed column blocks and the batched page-store read path.
+"""The page file's memory-mapped rows and the batched page-store read path.
 
-The exactness story: the float32 in-memory block is only ever a *filter*
-cache (its norms are float64, taken from the original rows), while the
-memory-mapped block shares bytes with the page file itself, so values read
-through it are bit-identical to per-row page reads — and the physical-I/O
-accounting must say so too.
+The page file's row region is mapped as one read-only ``float64`` matrix
+that shares bytes with the file itself, so rows gathered through it are
+bit-identical to per-row page reads — and the physical-I/O accounting must
+say so too.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.storage import ColumnBlockStore, PagedSeriesStore
+from repro.index import SeriesDatabase
+from repro.reduction import PAA
+from repro.storage import DiskBackedDatabase, PagedSeriesStore
 
 DATA = np.random.default_rng(3).normal(size=(24, 48)).cumsum(axis=1)
 
 
-class TestInMemoryBlock:
-    def test_from_array_packs_float32_with_float64_norms(self):
-        block = ColumnBlockStore.from_array(DATA)
-        assert block.dtype == np.float32
-        assert block.block.flags["C_CONTIGUOUS"]
-        assert block.count == 24 and block.length == 48
-        assert len(block) == 24
-        assert block.row_norms.dtype == np.float64
-        np.testing.assert_array_equal(block.row_norms, np.linalg.norm(DATA, axis=1))
-        np.testing.assert_allclose(block.block, DATA, rtol=1e-6, atol=1e-5)
-
-    def test_gather_returns_requested_order(self):
-        block = ColumnBlockStore.from_array(DATA)
-        got = block.gather([5, 0, 17, 5])
-        np.testing.assert_array_equal(got, DATA[[5, 0, 17, 5]].astype(np.float32))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            ColumnBlockStore(np.zeros(8))
-
-    def test_counters(self):
-        with obs.capture() as session:
-            block = ColumnBlockStore.from_array(DATA)
-            block.gather([1, 2])
-            block.gather(np.array([3]))
-        counters = session.report().counters
-        assert counters["columns.builds"] == 1
-        assert counters["columns.gathers"] == 2
+def disk_rows(tmp_path, **store):
+    """A disk-backed database's row view (``db.data``) over ``DATA``."""
+    db = DiskBackedDatabase(PAA(8), tmp_path / "s.bin", index=None, **store)
+    db.ingest(DATA)
+    return db
 
 
 class TestMappedBlock:
     def test_mapped_rows_are_bit_identical_to_reads(self, tmp_path):
         store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
-        block = store.mapped_columns()
-        assert block is not None
-        assert block.dtype == np.float64
-        assert block.row_norms is None
+        mapped = store.mapped_rows()
+        assert mapped is not None
+        assert mapped.dtype == np.float64 and mapped.shape == DATA.shape
         ids = [2, 19, 0, 7]
-        np.testing.assert_array_equal(block.gather(ids), store.get_rows(ids))
-        np.testing.assert_array_equal(np.asarray(block.block), store.read_all())
+        np.testing.assert_array_equal(mapped[ids], store.get_rows(ids))
+        np.testing.assert_array_equal(np.asarray(mapped), store.read_all())
 
     def test_mapped_block_cached_until_append(self, tmp_path):
         store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
-        first = store.mapped_columns()
-        assert store.mapped_columns() is first
+        first = store.mapped_rows()
+        assert store.mapped_rows() is first
         store.put_row(len(store), DATA[0] + 1.0)
-        rebuilt = store.mapped_columns()
-        assert rebuilt is not first
-        assert rebuilt.count == len(DATA) + 1
-        np.testing.assert_array_equal(rebuilt.gather([len(DATA)])[0], DATA[0] + 1.0)
+        remapped = store.mapped_rows()
+        assert remapped is not first
+        assert remapped.shape[0] == len(DATA) + 1
+        np.testing.assert_array_equal(remapped[len(DATA)], DATA[0] + 1.0)
 
     def test_gather_charges_physical_pages(self, tmp_path):
-        store = PagedSeriesStore.write(
-            tmp_path / "s.bin", DATA, page_size=256, cache_pages=2
-        )
-        block = store.mapped_columns()
-        store.stats.reset()
+        db = disk_rows(tmp_path, page_size=256, cache_pages=2)
+        db.reset_io()
         with obs.capture() as session:
-            block.gather([0, 11])
+            db.data.gather([0, 11])
         # 48 float64 values = 384 bytes: each row spans at least 2 pages of 256
-        assert store.stats.page_reads >= 4
-        assert session.report().counters["storage.page_reads"] == store.stats.page_reads
+        assert db.io_stats.page_reads >= 4
+        assert session.report().counters["storage.page_reads"] == db.io_stats.page_reads
 
     def test_empty_store_maps_to_none(self, tmp_path):
-        path = tmp_path / "s.bin"
-        store = PagedSeriesStore.write(path, DATA)
-        with pytest.raises(ValueError):
-            ColumnBlockStore.from_paged(_EmptyStoreProxy(store))
+        assert PagedSeriesStore(tmp_path / "never-written.bin").mapped_rows() is None
 
+    def test_gather_returns_requested_order(self, tmp_path):
+        got = disk_rows(tmp_path).data.gather([5, 0, 17, 5])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, DATA[[5, 0, 17, 5]])
 
-class _EmptyStoreProxy:
-    """A store that reports zero rows — from_paged must refuse it."""
+    def test_counters(self, tmp_path):
+        db = disk_rows(tmp_path)
+        with obs.capture() as session:
+            db.data.gather([1, 2])
+            db.data.gather(np.array([3]))
+        counters = session.report().counters
+        assert counters["columns.builds"] == 1  # mapped once, reused until append
+        assert counters["columns.gathers"] == 2
 
-    def __init__(self, store):
-        self.path = store.path
-        self.page_size = store.page_size
-        self.length = store.length
+    def test_unmappable_file_falls_back_to_page_reads(self, tmp_path, monkeypatch):
+        db = disk_rows(tmp_path)
+        monkeypatch.setattr(db.store, "mapped_rows", lambda: None)
+        with obs.capture() as session:
+            got = db.data.gather([3, 9])
+        np.testing.assert_array_equal(got, DATA[[3, 9]])
+        assert session.report().counters["pages.batch_reads"] == 1
 
-    def __len__(self):
-        return 0
+    def test_columns_is_the_raw_rows_without_a_copy(self, tmp_path):
+        disk = disk_rows(tmp_path)
+        assert disk.columns() is disk.store.mapped_rows()
+        np.testing.assert_array_equal(np.asarray(disk.columns()), DATA)
+        memory = SeriesDatabase(PAA(8), index=None)
+        assert memory.columns() is None
+        memory.ingest(DATA)
+        assert memory.columns() is memory.data
 
 
 class TestBatchedReads:

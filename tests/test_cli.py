@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestGenerateAndKNN:
         capsys.readouterr()
         assert main(["knn", "--dataset", str(out), "--k", "2"]) == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_knn_batch_runs_in_process_only(self, capsys):
+        args = ["knn", "--dataset", "Coffee", "--method", "PAA", "--k", "3",
+                "--length", "64", "--series", "10", "--batch"]
+        assert main(args) == 0
+        assert "pruning_power" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(args + ["--parallelism", "2"])
+
+    def test_stats_renders_a_committed_report_with_a_retired_gauge(self, capsys):
+        report = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks" / "results" / "batch_knn.report.json"
+        )
+        assert main(["stats", "--report", str(report)]) == 0
+        assert "engine.parallelism" in capsys.readouterr().out
 
 
 class TestReduceReconstruct:
