@@ -54,7 +54,9 @@ class KnnRequest:
         if matrix.ndim != 2:
             raise ValueError("queries must be a series or a (Q, n) batch")
         object.__setattr__(self, "queries", matrix)
-        self.options()  # validate the engine-facing fields eagerly
+        options = self.options()  # validate the engine-facing fields eagerly
+        object.__setattr__(self, "k", options.k)
+        object.__setattr__(self, "lookahead", options.lookahead)
 
     def options(self) -> QueryOptions:
         """The equivalent validated :class:`repro.engine.QueryOptions`."""
@@ -84,10 +86,10 @@ class KnnRequest:
         ignored."""
         return cls(
             queries=np.asarray(payload["queries"], dtype=float),
-            k=int(payload.get("k", 1)),
+            k=payload.get("k", 1),
             mode=payload.get("mode", "auto"),
             deadline_s=payload.get("deadline_s"),
-            lookahead=int(payload.get("lookahead", 1)),
+            lookahead=payload.get("lookahead", 1),
             cascade=bool(payload.get("cascade", True)),
         )
 

@@ -117,7 +117,7 @@ class LocalClient(Client):
 
     def delete(self, series_id: int) -> bool:
         """Delete through the evaluator so subscriptions see the delta."""
-        return self._continuous.delete(int(series_id))
+        return self._continuous.delete(series_id)
 
     def subscribe(self, query: StandingQuery) -> Subscription:
         """Register a standing query fed by an in-process queue."""

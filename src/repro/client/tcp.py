@@ -19,6 +19,8 @@ import socket
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
+import numpy as np
+
 from ..continuous import Notification, StandingQuery
 from ..serving.protocol import (
     HEADER_BYTES,
@@ -137,8 +139,11 @@ class TcpClient(Client):
         return int(self._call("insert", payload)["series_id"])
 
     def delete(self, series_id: int) -> bool:
-        """Tombstone one series id over the wire."""
-        return bool(self._call("delete", {"series_id": int(series_id)})["deleted"])
+        """Tombstone one series id over the wire; the server refuses a
+        non-integral id with ``bad_request``."""
+        if isinstance(series_id, np.generic):  # JSON carries its Python value
+            series_id = series_id.item()
+        return bool(self._call("delete", {"series_id": series_id})["deleted"])
 
     def subscribe(self, query: StandingQuery) -> Subscription:
         """Register a standing query; deltas arrive as push frames."""

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import List, Optional, Union
 
 from ..index.knn import KNNResult
+from ..kinds import require_int
 
 __all__ = ["ExecutionMode", "QueryOptions", "BatchResult"]
 
@@ -71,6 +72,8 @@ class QueryOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ExecutionMode(self.mode))
+        object.__setattr__(self, "k", require_int(self.k, "k"))
+        object.__setattr__(self, "lookahead", require_int(self.lookahead, "lookahead"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.lookahead < 1:

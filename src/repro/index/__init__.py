@@ -3,7 +3,6 @@
 from .bulk import bulk_load_dbch, bulk_load_rtree
 from .dbch import DBCHNode, DBCHTree
 from .entries import Entry
-from .isax import ISAXIndex
 from .knn import KNNResult, SeriesDatabase, linear_scan
 from .mbr import Box, feature_vector, feature_weights
 from .pla_mbr import PLABox, pla_feature, pla_mbr_mindist
@@ -27,7 +26,6 @@ __all__ = [
     "rtree_overlap",
     "dbch_overlap",
     "leaf_fill",
-    "ISAXIndex",
     "PLABox",
     "pla_feature",
     "pla_mbr_mindist",

@@ -29,7 +29,7 @@ import numpy as np
 from .. import obs
 from ..distance.columnar import grown
 from ..distance.suite import ADAPTIVE_METHODS, QueryContext, make_suite
-from ..kinds import DistanceMode, IndexKind
+from ..kinds import DistanceMode, IndexKind, require_int
 from ..lifecycle.snapshot import MutableDatabase
 from ..reduction.base import Reducer, reduce_rows
 from .bulk import bulk_load_dbch, bulk_load_rtree
@@ -653,7 +653,7 @@ class SeriesDatabase(MutableDatabase):
         leaves the candidate set and the tree, so searches never return it
         again.  :func:`repro.lifecycle.compact` reclaims the row bytes.
         """
-        series_id = int(series_id)
+        series_id = require_int(series_id, "series_id")
         if series_id not in self._live_ids:
             return False
         if self._wal is not None:

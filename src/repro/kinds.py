@@ -1,4 +1,5 @@
-"""Typed constructor vocabulary: index kinds and adaptive distance modes.
+"""Typed constructor vocabulary: index kinds, adaptive distance modes and
+the one integer check that series ids and neighbour counts pass.
 
 ``IndexKind`` names the index structures the paper evaluates and
 ``DistanceMode`` the adaptive-method query bounds (paper Sec. 6).  Both are
@@ -6,14 +7,17 @@
 and the CLI carry, so a value read back from any of them converts with the
 enum's own constructor — ``IndexKind(value)`` / ``DistanceMode(value)`` —
 which raises ``ValueError`` on a typo at construction time instead of
-failing mid-query.
+failing mid-query.  :func:`require_int` refuses a ``bool`` or a float where
+an id or a count belongs, which ``int()`` would truncate instead.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["IndexKind", "DistanceMode", "suite_distance_mode"]
+import numpy as np
+
+__all__ = ["IndexKind", "DistanceMode", "suite_distance_mode", "require_int"]
 
 
 class IndexKind(str, Enum):
@@ -58,3 +62,15 @@ def suite_distance_mode(reported) -> DistanceMode:
         return DistanceMode(reported)
     except ValueError:
         return DistanceMode.PAR
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer (a NumPy integer too).
+
+    Raises ``TypeError`` for a ``bool``, a float (``2.0`` included) or
+    anything else, so ``delete(2.9)`` or ``k=2.5`` is refused rather than
+    truncated to a different id or count.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return int(value)

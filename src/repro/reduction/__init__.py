@@ -2,11 +2,8 @@
 
 from .apca import APCA
 from .apla import APLA, error_matrix
-from .auto import SelectionReport, select_method
 from .base import Reducer, SegmentReducer, equal_length_bounds, reduce_rows
 from .cheby import CHEBY, ChebyshevRepresentation
-from .error_bounded import ErrorBoundedPLA
-from .one_d_sax import OneDSAX, OneDSAXRepresentation
 from .paa import PAA
 from .paalm import PAALM, lagrangian_smooth
 from .pla import PLA
@@ -36,11 +33,6 @@ __all__ = [
     "ChebyshevRepresentation",
     "SAX",
     "SAXRepresentation",
-    "OneDSAX",
-    "OneDSAXRepresentation",
     "gaussian_breakpoints",
-    "ErrorBoundedPLA",
-    "SelectionReport",
-    "select_method",
     "REDUCERS",
 ]

@@ -362,7 +362,7 @@ class ReproServer:
             return {"series_id": int(gid), "generation": self._generation_body()}
         if op == "delete":
             deleted = await loop.run_in_executor(
-                self._executor, self.continuous.delete, int(frame["series_id"])
+                self._executor, self.continuous.delete, frame["series_id"]
             )
             return {"deleted": bool(deleted), "generation": self._generation_body()}
         if op == "unsubscribe":

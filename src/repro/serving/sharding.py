@@ -48,7 +48,7 @@ from .. import obs
 from ..engine.options import BatchResult, QueryOptions
 from ..engine.states import gather_rows
 from ..index.knn import KNNResult, SeriesDatabase
-from ..kinds import DistanceMode, IndexKind, suite_distance_mode
+from ..kinds import DistanceMode, IndexKind, require_int, suite_distance_mode
 from ..reduction import REDUCERS
 
 __all__ = ["ShardedEngine", "partition_database", "MANIFEST_FILENAME"]
@@ -468,7 +468,7 @@ class ShardedEngine:
 
     def delete(self, series_id: int) -> bool:
         """Tombstone one global series id in its shard."""
-        series_id = int(series_id)
+        series_id = require_int(series_id, "series_id")
         if series_id < 0 or series_id >= self._next_id:
             return False
         n = len(self._shards)

@@ -304,6 +304,49 @@ def test_a_rejected_non_finite_insert_leaves_a_durable_home_untouched(backend, t
         assert reopened.knn(KnnRequest(queries=data[2] + 0.5, k=1))[0].ids == [64]
 
 
+@pytest.mark.parametrize("backend", ["memory", "disk", "sharded", "tcp"])
+def test_a_non_integral_series_id_or_k_is_refused_not_truncated(backend, tmp_path):
+    """``delete(2.9)`` used to delete series 2, ``delete(True)`` series 1,
+    and ``k`` of 2.5 (2.7 in a wire frame) or ``True`` was served as 2 or 1.
+    Each is one ``TypeError`` (``bad_request`` over TCP) and nothing
+    changes; NumPy integers still work."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(10, LENGTH)).cumsum(axis=1)
+    if backend == "disk":
+        db = DiskBackedDatabase(PAA(8), tmp_path / "rows.bin", index=None)
+    else:
+        db = SeriesDatabase(PAA(8), index=None)
+    db.ingest(data)
+    target, host = db, None
+    if backend == "sharded":
+        target = ShardedEngine.from_database(db, 2)
+    elif backend == "tcp":
+        host = _ServerThread(ShardedEngine.from_database(db, 2))
+        target = f"tcp://127.0.0.1:{host.port}"
+    refused = ServerError if host else TypeError
+    try:
+        with connect(target) as client:
+            for bad in (2.9, 2.0, True, np.float64(1.0)):
+                with pytest.raises(refused, match="series_id must be an integer"):
+                    client.delete(bad)
+            for field, bad in (("k", 2.7), ("k", True), ("lookahead", 1.5)):
+                with pytest.raises(refused, match=f"{field} must be an integer"):
+                    if host:
+                        payload = KnnRequest(queries=data[3], k=2).to_payload()
+                        client._call("knn", {**payload, field: bad})
+                    else:
+                        client.knn(KnnRequest(queries=data[3], **{field: bad}))
+            assert [r.ids for r in client.knn(KnnRequest(queries=data, k=1))] == [
+                [i] for i in range(10)
+            ]
+            assert client.delete(np.int64(2)) is True
+            (answer,) = client.knn(KnnRequest(queries=data[2], k=np.int64(2)))
+            assert len(answer.ids) == 2 and 2 not in answer.ids
+    finally:
+        if host is not None:
+            host.stop()
+
+
 def test_a_knn_frame_with_a_retired_option_gets_the_same_reply():
     """Older clients still send ``early_abandon``; the server ignores it."""
     db = make_db()

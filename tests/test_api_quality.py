@@ -1,8 +1,11 @@
-"""API-quality gates: docstrings on every public item, importability, and
-__all__ hygiene across the whole package."""
+"""API-quality gates: docstrings on every public item, importability,
+__all__ hygiene across the whole package, and a committed API reference
+that matches the docstrings."""
 
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -64,3 +67,12 @@ def test_public_classes_document_their_methods():
 
 def test_version_exposed():
     assert repro.__version__
+
+
+def test_api_reference_is_current(capsys):
+    """``docs/api_reference.md`` is what the generator renders today."""
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "generate_api_reference.py"
+    spec = importlib.util.spec_from_file_location("generate_api_reference", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert generator.main(["--check"]) == 0, capsys.readouterr().out
