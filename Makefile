@@ -84,9 +84,9 @@ verify-continuous:
 		--report /tmp/repro-continuous-loadtest.report.json
 
 # batched write side: lint + the transform_batch bit-identity grid (with the
-# lock-step SAPLA kernel's perf-shaped 516 x 256 case) and the batched
-# core/streaming tests, then the batch-vs-scalar micro-benchmark, which
-# fails on any row that differs (SAPLA at 1024 rows)
+# lock-step SAPLA kernel's perf-shaped 516 x 256 case) and the core
+# kernel tests, then the batch-vs-scalar micro-benchmark, which fails on
+# any row that differs (SAPLA at 1024 rows)
 verify-reduction:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/reduction tests/core -q

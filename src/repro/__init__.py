@@ -4,8 +4,7 @@ Self Adaptive Piecewise Linear Approximation, lower-bounding distance
 measures for adaptive-length representations, and the DBCH-tree index for
 time series similarity search, together with every baseline the paper
 evaluates against (APLA, APCA, PLA, PAA, PAALM, CHEBY, SAX), the R-tree /
-GEMINI k-NN substrate, a synthetic UCR2018-like archive, and the task suite
-the paper's introduction motivates.
+GEMINI k-NN substrate and a synthetic UCR2018-like archive.
 
 The most-used entry points are re-exported here::
 
@@ -18,7 +17,7 @@ Query access goes through the :mod:`repro.client` facade —
 engine, a sharded home or a running ``repro serve`` endpoint.
 """
 
-from .core import SAPLA, LinearSegmentation, Segment, StreamingSAPLA, sapla_transform
+from .core import SAPLA, LinearSegmentation, Segment, sapla_transform
 from .data import UCRLikeArchive
 from .engine import BatchResult, ExecutionMode, QueryEngine, QueryOptions
 from .index import SeriesDatabase
@@ -29,7 +28,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SAPLA",
-    "StreamingSAPLA",
     "sapla_transform",
     "Segment",
     "LinearSegmentation",

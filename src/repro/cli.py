@@ -15,11 +15,9 @@ Commands
 ``serve``        answer k-NN/range queries over TCP (length-prefixed JSON
                  frames) from a saved database or sharded home; see
                  docs/serving.md for the wire protocol and admission knobs
-``subscribe``    register a standing query (k-NN / range / subsequence /
-                 anomaly) against a server or local database and print each
-                 pushed notification as a JSON line; see docs/continuous.md
-``watch``        stream a series file through the online discord scorer and
-                 print each anomaly alert as a JSON line
+``subscribe``    register a standing query (k-NN / range) against a server
+                 or local database and print each pushed notification as a
+                 JSON line; see docs/continuous.md
 ``experiment``   regenerate one of the paper's tables/figures, or drive the
                  experiment service: ``experiment run <spec.toml>`` executes
                  a declarative benchmark matrix into an sqlite results store
@@ -332,34 +330,15 @@ def _cmd_serve(args) -> int:
 
 def _build_standing_query(args):
     """A standing query from the ``subscribe`` command's flags."""
-    from .continuous import AnomalyWatch, KnnWatch, RangeWatch, SubsequenceWatch
+    from .continuous import KnnWatch, RangeWatch
 
-    kind = args.kind
-    if kind == "knn":
-        if not args.query:
-            raise SystemExit("--kind knn needs --query FILE")
+    if not args.query:
+        raise SystemExit(f"--kind {args.kind} needs --query FILE")
+    if args.kind == "knn":
         return KnnWatch(query=_read_series(args.query), k=args.k)
-    if kind == "range":
-        if not args.query:
-            raise SystemExit("--kind range needs --query FILE")
-        if args.radius is None:
-            raise SystemExit("--kind range needs --radius")
-        return RangeWatch(query=_read_series(args.query), radius=args.radius)
-    if kind == "subsequence":
-        if not args.pattern:
-            raise SystemExit("--kind subsequence needs --pattern FILE")
-        if args.radius is None:
-            raise SystemExit("--kind subsequence needs --radius")
-        return SubsequenceWatch(
-            pattern=_read_series(args.pattern), radius=args.radius, stride=args.stride
-        )
-    return AnomalyWatch(
-        window=args.window,
-        threshold=args.threshold,
-        stride=args.stride,
-        max_segments=args.segments,
-        history=args.history,
-    )
+    if args.radius is None:
+        raise SystemExit("--kind range needs --radius")
+    return RangeWatch(query=_read_series(args.query), radius=args.radius)
 
 
 def _cmd_subscribe(args) -> int:
@@ -402,34 +381,6 @@ def _cmd_subscribe(args) -> int:
         finally:
             client.close()
     print(f"{received} notification(s)", file=sys.stderr)
-    return 0
-
-
-def _cmd_watch(args) -> int:
-    import json
-
-    from .continuous import OnlineDiscordScorer
-
-    series = _read_series(args.input)
-    n_alerts = 0
-    with obs.span("cli.watch"):
-        scorer = OnlineDiscordScorer(
-            window=args.window,
-            threshold=args.threshold,
-            stride=args.stride,
-            max_segments=args.segments,
-            history=args.history,
-        )
-        chunk = max(1, args.chunk)
-        for start in range(0, len(series), chunk):
-            for alert in scorer.extend(series[start : start + chunk]):
-                print(json.dumps(alert.to_payload(), sort_keys=True), flush=True)
-                n_alerts += 1
-    print(
-        f"{n_alerts} alert(s) over {scorer.n_points} points "
-        f"(window={args.window}, threshold={args.threshold})",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -805,41 +756,17 @@ def build_parser() -> argparse.ArgumentParser:
         "or a sharded home",
     )
     p.add_argument(
-        "--kind", choices=("knn", "range", "subsequence", "anomaly"), default="knn",
+        "--kind", choices=("knn", "range"), default="knn",
         help="standing-query kind to register",
     )
     p.add_argument(
         "--query", default=None, metavar="FILE",
         help=".npy/.csv/.txt series for --kind knn/range",
     )
-    p.add_argument(
-        "--pattern", default=None, metavar="FILE",
-        help=".npy/.csv/.txt pattern for --kind subsequence",
-    )
     p.add_argument("--k", type=int, default=8, help="top-k size for --kind knn")
     p.add_argument(
         "--radius", type=float, default=None,
-        help="match radius for --kind range/subsequence",
-    )
-    p.add_argument(
-        "--window", type=int, default=32,
-        help="scored window length for --kind anomaly",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=1.0,
-        help="alert distance threshold for --kind anomaly",
-    )
-    p.add_argument(
-        "--stride", type=int, default=1,
-        help="window stride for --kind subsequence/anomaly",
-    )
-    p.add_argument(
-        "--segments", type=int, default=8, metavar="M",
-        help="StreamingSAPLA budget per anomaly window",
-    )
-    p.add_argument(
-        "--history", type=int, default=64, metavar="N",
-        help="anomaly windows kept comparable",
+        help="match radius for --kind range",
     )
     p.add_argument(
         "--count", type=int, default=0, metavar="N",
@@ -850,32 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop when no notification arrives for this long",
     )
     p.set_defaults(func=_cmd_subscribe)
-
-    p = sub.add_parser(
-        "watch", help="stream a series file through the online discord scorer"
-    )
-    p.add_argument(
-        "--input", required=True, help=".npy/.csv/.txt series file to score"
-    )
-    p.add_argument("--window", type=int, default=32, help="scored window length")
-    p.add_argument(
-        "--threshold", type=float, default=1.0,
-        help="alert when the nearest prior window is farther than this",
-    )
-    p.add_argument("--stride", type=int, default=1, help="window stride")
-    p.add_argument(
-        "--segments", type=int, default=8, metavar="M",
-        help="StreamingSAPLA budget per window",
-    )
-    p.add_argument(
-        "--history", type=int, default=64, metavar="N",
-        help="windows kept comparable (memory bound)",
-    )
-    p.add_argument(
-        "--chunk", type=int, default=256, metavar="N",
-        help="values fed to the scorer per extend() call",
-    )
-    p.set_defaults(func=_cmd_watch)
 
     p = sub.add_parser("stats", help="metric catalogue / run-report summary")
     p.add_argument(

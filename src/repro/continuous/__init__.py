@@ -1,10 +1,10 @@
 """Continuous queries: standing subscriptions over streaming ingest.
 
-Register a query once — k-NN, range, subsequence match, or an online
-anomaly watch — and receive incremental :class:`Notification` deltas as
-the write-ahead log advances, instead of polling one-shot queries.  See
-``docs/continuous.md`` for the architecture, wire-protocol push frames,
-backpressure semantics and delivery guarantees.
+Register a query once — k-NN or range — and receive incremental
+:class:`Notification` deltas as the write-ahead log advances, instead of
+polling one-shot queries.  See ``docs/continuous.md`` for the
+architecture, wire-protocol push frames, backpressure semantics and
+delivery guarantees.
 
 * :mod:`repro.continuous.queries` — the standing-query vocabulary and the
   typed notification delta;
@@ -13,36 +13,21 @@ backpressure semantics and delivery guarantees.
 * :mod:`repro.continuous.watches` — what each kind does with a mutation:
   one evaluation object per kind, one table from kind to object;
 * :mod:`repro.continuous.evaluator` — locking, seqs and sink-then-ack
-  delivery around one loop over the subscriptions' watches;
-* :mod:`repro.continuous.anomaly` — the StreamingSAPLA-driven online
-  discord scorer behind :class:`AnomalyWatch`.
+  delivery around one loop over the subscriptions' watches.
 """
 
-from .anomaly import AnomalyAlert, OnlineDiscordScorer
 from .evaluator import ContinuousEvaluator
-from .queries import (
-    AnomalyWatch,
-    KnnWatch,
-    Notification,
-    RangeWatch,
-    StandingQuery,
-    SubsequenceWatch,
-    query_from_payload,
-)
+from .queries import KnnWatch, Notification, RangeWatch, StandingQuery, query_from_payload
 from .registry import SUBSCRIPTIONS_FILENAME, SubscriptionRegistry, SubscriptionState
 
 __all__ = [
-    "AnomalyAlert",
-    "AnomalyWatch",
     "ContinuousEvaluator",
     "KnnWatch",
     "Notification",
-    "OnlineDiscordScorer",
     "RangeWatch",
     "StandingQuery",
     "SubscriptionRegistry",
     "SubscriptionState",
     "SUBSCRIPTIONS_FILENAME",
-    "SubsequenceWatch",
     "query_from_payload",
 ]

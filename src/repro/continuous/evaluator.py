@@ -57,7 +57,7 @@ class ContinuousEvaluator:
         # proves was delivered.  :meth:`resync` then reconciles against the
         # recovered target and re-emits anything a crash may have swallowed.
         for sid, sub in self.registry.subscriptions().items():
-            watch = self._watches[sid] = make_watch(sub.query, target, sub.from_row, sub.state)
+            watch = self._watches[sid] = make_watch(sub.query, target, sub.state)
             watch.seq = int(sub.seq)
 
     @classmethod
@@ -69,21 +69,16 @@ class ContinuousEvaluator:
 
     # -- subscription lifecycle -----------------------------------------
     def subscribe(self, query: StandingQuery, sink: "Optional[Sink]" = None) -> str:
-        """Register a standing query; emits the initial ``full`` snapshot.
-
-        k-NN and range watches open with their current result over the
-        live collection; subsequence and anomaly watches are stream-shaped
-        and open empty, seeing only rows inserted from now on.
-        """
+        """Register a standing query; emits the initial ``full`` snapshot:
+        its current result over the live collection."""
         with self._lock:
-            from_row = self.target.count
-            watch = make_watch(query, self.target, from_row)
+            watch = make_watch(query, self.target)
             watch.sink = sink
             # the first run comes before the watch is registered anywhere: a
             # query the target rejects (wrong length) raises here and leaves
             # no live watch behind to fail every later mutation
             watch.rerun()
-            sid = self.registry.subscribe(query, from_row=from_row)
+            sid = self.registry.subscribe(query)
             self._watches[sid] = watch
             self._deliver(sid, watch, watch.snapshot(full=True), time.perf_counter())
             return sid
@@ -167,7 +162,8 @@ class ContinuousEvaluator:
                     watch = self._watches.get(sid)
                     if watch is None:
                         continue  # a sink unsubscribed it mid-loop
-                    for fields in step(watch):
+                    fields = step(watch)
+                    if fields is not None:
                         self._deliver(sid, watch, fields, started)
 
     # -- recovery --------------------------------------------------------
@@ -176,10 +172,10 @@ class ContinuousEvaluator:
 
         Call after reopening a crashed target: every subscription's query
         re-runs on the recovered snapshot and, where the result differs
-        from the last *acked* frontier, a ``full`` notification (or the
-        missing alerts, for anomaly watches) is re-emitted with the seq it
-        would have carried — identical content and seq as the possibly-
-        lost original, so consumers de-duplicate by seq.
+        from the last *acked* frontier, a ``full`` notification is
+        re-emitted with the seq it would have carried — identical content
+        and seq as the possibly-lost original, so consumers de-duplicate by
+        seq.
         """
         with self._lock:
             emitted: "List[Notification]" = []
@@ -197,7 +193,7 @@ class ContinuousEvaluator:
                 # an unmoved state means everything was confirmed — unless
                 # not even the initial snapshot was (seq 0)
                 if watch.state() != acked or watch.seq == 0:
-                    emitted.extend(self._deliver(one, watch, f, started) for f in fields)
+                    emitted.append(self._deliver(one, watch, fields, started))
             return emitted
 
     def refresh(self, sid: str) -> "Optional[Notification]":
@@ -206,20 +202,16 @@ class ContinuousEvaluator:
         The catch-up path after server-side backpressure drops: the acked
         frontier is already current there (acks witness the sink call, not
         the consumer), so :meth:`resync` would emit nothing — this instead
-        always pushes a replacement ``full`` snapshot for the snapshot-
-        shaped kinds.  Anomaly watches return ``None``: their alerts are
-        point events with no snapshot to replace them with.
+        always pushes a replacement ``full`` snapshot.  ``None`` for an
+        unknown subscription.
         """
         with self._lock:
             watch = self._watches.get(sid)
             if watch is None:
                 return None
             started = time.perf_counter()
-            fields = watch.rerun()
-            if not fields:
-                return None  # point events only: nothing was re-run
             obs.count("continuous.full_reruns")
-            return [self._deliver(sid, watch, f, started) for f in fields][-1]
+            return self._deliver(sid, watch, watch.rerun(), started)
 
     # -- delivery ----------------------------------------------------------
     def _deliver(self, sid: str, watch, fields: dict, started: float) -> Notification:

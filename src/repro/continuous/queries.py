@@ -3,40 +3,26 @@
 A *standing query* is registered once and answered forever: the
 :class:`~repro.continuous.ContinuousEvaluator` keeps its current result
 frontier and emits a :class:`Notification` whenever a mutation changes it.
-Four kinds exist:
+Two kinds exist:
 
 * :class:`KnnWatch` — the query's top-k under the stable ``(distance, id)``
   tie-break, maintained incrementally;
-* :class:`RangeWatch` — every live series within ``radius``;
-* :class:`SubsequenceWatch` — occurrences of a short pattern inside each
-  series inserted after the subscription (GEMINI's subsequence problem,
-  evaluated on the stream);
-* :class:`AnomalyWatch` — online discord alerts over the concatenated
-  stream of inserted values, scored by
-  :class:`repro.continuous.OnlineDiscordScorer`.
+* :class:`RangeWatch` — every live series within ``radius``.
 
 Every type round-trips through ``to_payload`` / ``from_payload`` — the same
 dicts travel the TCP wire (push frames) and the durable subscription log,
-so a replayed subscription is byte-for-byte the registered one.  The four
+so a replayed subscription is byte-for-byte the registered one.  The
 watch kinds share one codec (:class:`_Payload`), driven by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Tuple, Union
 
 import numpy as np
 
-__all__ = [
-    "AnomalyWatch",
-    "KnnWatch",
-    "Notification",
-    "RangeWatch",
-    "StandingQuery",
-    "SubsequenceWatch",
-    "query_from_payload",
-]
+__all__ = ["KnnWatch", "Notification", "RangeWatch", "StandingQuery", "query_from_payload"]
 
 
 #: a standing-query field's annotation -> (value -> JSON, JSON -> value);
@@ -102,71 +88,9 @@ class RangeWatch(_Payload):
         object.__setattr__(self, "radius", float(self.radius))
 
 
-@dataclass(frozen=True, eq=False)
-class SubsequenceWatch(_Payload):
-    """Occurrences of ``pattern`` inside series inserted after subscribing.
+StandingQuery = Union[KnnWatch, RangeWatch]
 
-    Each inserted series is scanned at the given ``stride``; windows within
-    Euclidean ``radius`` of the pattern are de-duplicated to the locally
-    best offset (the same rule as
-    :meth:`repro.apps.SubsequenceIndex.range_search`).
-    """
-
-    kind: ClassVar[str] = "subsequence"
-
-    pattern: np.ndarray
-    radius: float
-    stride: int = 1
-
-    def __post_init__(self):
-        pattern = np.asarray(self.pattern, dtype=float)
-        if pattern.ndim != 1 or pattern.shape[0] < 2:
-            raise ValueError("pattern must be a 1-D series of length >= 2")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
-        if self.stride < 1:
-            raise ValueError("stride must be positive")
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "stride", int(self.stride))
-
-
-@dataclass(frozen=True)
-class AnomalyWatch(_Payload):
-    """Online discord alerts over the stream of inserted values.
-
-    Values of every series inserted after the subscription concatenate into
-    one monitored stream; each completed window is scored by
-    :class:`repro.continuous.OnlineDiscordScorer` and windows whose nearest
-    non-overlapping predecessor is farther than ``threshold`` raise alerts.
-    """
-
-    kind: ClassVar[str] = "anomaly"
-
-    window: int
-    threshold: float
-    stride: int = 1
-    max_segments: int = 8
-    history: int = 64
-
-    def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.stride < 1:
-            raise ValueError("stride must be positive")
-        if self.max_segments < 1:
-            raise ValueError("max_segments must be >= 1")
-        if self.history < 1:
-            raise ValueError("history must be >= 1")
-
-
-StandingQuery = Union[KnnWatch, RangeWatch, SubsequenceWatch, AnomalyWatch]
-
-_QUERY_KINDS = {
-    cls.kind: cls for cls in (KnnWatch, RangeWatch, SubsequenceWatch, AnomalyWatch)
-}
+_QUERY_KINDS = {cls.kind: cls for cls in (KnnWatch, RangeWatch)}
 
 
 def query_from_payload(payload: dict) -> StandingQuery:
@@ -192,9 +116,6 @@ class Notification:
     ``ids``/``distances`` are the subscription's *current* frontier in the
     stable ``(distance, id)`` order; ``added``/``removed`` are the global
     series ids that entered/left it relative to the previous notification.
-    Subsequence watches report ``matches`` as ``(series_id, start,
-    distance)`` triples; anomaly watches carry one ``alert`` payload per
-    notification (see :class:`repro.continuous.AnomalyAlert`).
     """
 
     subscription_id: str
@@ -206,8 +127,6 @@ class Notification:
     added: "Tuple[int, ...]" = ()
     removed: "Tuple[int, ...]" = ()
     full: bool = False
-    matches: "Tuple[Tuple[int, int, float], ...]" = ()
-    alert: Optional[dict] = field(default=None)
 
     def to_payload(self) -> dict:
         """JSON-safe dict — the body of a wire push frame."""
@@ -224,8 +143,6 @@ class Notification:
             "added": list(self.added),
             "removed": list(self.removed),
             "full": bool(self.full),
-            "matches": [list(m) for m in self.matches],
-            "alert": self.alert,
         }
 
     @classmethod
@@ -244,8 +161,4 @@ class Notification:
             added=tuple(int(i) for i in payload.get("added", ())),
             removed=tuple(int(i) for i in payload.get("removed", ())),
             full=bool(payload.get("full", False)),
-            matches=tuple(
-                (int(g), int(s), float(d)) for g, s, d in payload.get("matches", ())
-            ),
-            alert=payload.get("alert"),
         )

@@ -16,11 +16,9 @@ from .linefit import LineFit, SeriesStats, fit_line
 from .sapla import SAPLA, sapla_transform
 from .segment import LinearSegmentation, Segment
 from .split_merge import find_split_point, merge_pair_area, split_merge
-from .streaming import StreamingSAPLA
 
 __all__ = [
     "SAPLA",
-    "StreamingSAPLA",
     "sapla_transform",
     "LineFit",
     "SeriesStats",

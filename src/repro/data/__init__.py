@@ -2,10 +2,9 @@
 
 from .archive import DATASETS, Dataset, UCRLikeArchive
 from .generators import FAMILIES, generate
-from .labeled import LabeledDataset, load_labeled
 from .normalize import resample_to_length, z_normalize
 from .stats import SeriesProfile, profile_dataset, profile_series
-from .ucr_loader import load_ucr_dataset, load_ucr_tsv
+from .ucr_loader import LabeledDataset, load_ucr_dataset, load_ucr_tsv
 from .workloads import PERTURBATIONS, perturb, query_workload
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "Dataset",
     "UCRLikeArchive",
     "LabeledDataset",
-    "load_labeled",
     "FAMILIES",
     "generate",
     "z_normalize",

@@ -9,17 +9,36 @@ with one series per line, the class label first, values tab-separated.
 from __future__ import annotations
 
 import pathlib
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .archive import Dataset
-from .labeled import LabeledDataset
 from .normalize import resample_to_length, z_normalize
 
-__all__ = ["load_ucr_tsv", "load_ucr_dataset"]
+__all__ = ["LabeledDataset", "load_ucr_tsv", "load_ucr_dataset"]
 
 PathLike = Union[str, pathlib.Path]
+
+
+@dataclass(frozen=True)
+class LabeledDataset:
+    """A train/test split with integer class labels."""
+
+    name: str
+    family: str
+    data: np.ndarray
+    labels: np.ndarray
+    queries: np.ndarray
+    query_labels: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.labels.max()) + 1
+
+    @property
+    def length(self) -> int:
+        return int(self.data.shape[1])
 
 
 def load_ucr_tsv(path: PathLike) -> "tuple[np.ndarray, np.ndarray]":

@@ -4,7 +4,6 @@ for adaptive representations, and the equal-length / symbolic lower bounds."""
 from .cascade import BoundCascade, PairwiseAccel, QueryCascade, make_pairwise_accel
 from .columnar import SegmentColumns
 from .dist_ae import dist_ae
-from .dtw import dtw, dtw_envelope, lb_keogh
 from .dist_lb import dist_lb, dist_lb_batch, project_onto_layout
 from .dist_par import dist_par, dist_par_batch
 from .equal_length import dist_cheby, dist_paa, dist_pla, triangle_lower_bound
@@ -36,7 +35,4 @@ __all__ = [
     "QueryCascade",
     "PairwiseAccel",
     "make_pairwise_accel",
-    "dtw",
-    "dtw_envelope",
-    "lb_keogh",
 ]

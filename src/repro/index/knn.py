@@ -326,10 +326,6 @@ class SeriesDatabase(MutableDatabase):
         """Every live (non-tombstoned) series id, ascending."""
         return sorted(self._live_ids)
 
-    def row(self, series_id: int) -> np.ndarray:
-        """One raw row by id (tombstoned rows are still addressable)."""
-        return np.asarray(self.data[int(series_id)], dtype=float)
-
     # ------------------------------------------------------------------
     def ingest(
         self,

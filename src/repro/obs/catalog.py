@@ -131,7 +131,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "continuous.notifications": (COUNTER, "notification deltas delivered to subscription sinks"),
     "continuous.delta_evals": (COUNTER, "subscription re-evaluations answered incrementally"),
     "continuous.full_reruns": (COUNTER, "subscription re-evaluations that fell back to a full re-run"),
-    "continuous.alerts": (COUNTER, "anomaly alerts raised by online discord scoring"),
     "continuous.dropped": (COUNTER, "notifications dropped by per-subscription backpressure"),
     "continuous.notify_ms": (HISTOGRAM, "milliseconds from mutation arrival to notification delivery"),
     # --------------------------------------------------------- experiments
@@ -145,7 +144,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "continuous.replay": (SPAN, "replay a subscription log into registry state"),
     "cli.knn": (SPAN, "whole `repro knn` command"),
     "cli.subscribe": (SPAN, "whole `repro subscribe` command"),
-    "cli.watch": (SPAN, "whole `repro watch` command"),
     "cli.serve": (SPAN, "whole `repro serve` command (bind to shutdown)"),
     "cli.shard": (SPAN, "whole `repro shard` command"),
     "cli.experiment": (SPAN, "whole `repro experiment` command"),

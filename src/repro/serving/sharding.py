@@ -281,14 +281,9 @@ class ShardedEngine:
             local * n + s for s, sh in enumerate(self._shards) for local in sh.live_ids()
         )
 
-    def row(self, series_id: int) -> np.ndarray:
-        """One raw row by global id (tombstoned rows are still addressable)."""
-        n = len(self._shards)
-        return self._shards[series_id % n].row(series_id // n)
-
     def shard_of(self, series_id: int) -> int:
         """The shard a global series id lives in."""
-        return int(series_id) % len(self._shards)
+        return require_int(series_id, "series_id") % len(self._shards)
 
     # -- queries -----------------------------------------------------------
     def knn_batch(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import obs
 from ..index.knn import SeriesDatabase
-from ..kinds import DistanceMode, IndexKind
+from ..kinds import DistanceMode, IndexKind, require_int
 from ..reduction.base import Reducer
 from .pages import PagedSeriesStore
 
@@ -155,7 +155,7 @@ class PagedRows:
 
     # -- the array-like side ---------------------------------------------
     def __getitem__(self, series_id: int) -> np.ndarray:
-        return self.store.read(int(series_id))
+        return self.store.read(require_int(series_id, "series_id"))
 
     def __len__(self) -> int:
         return 0 if self.store is None else len(self.store)

@@ -307,7 +307,8 @@ def test_a_rejected_non_finite_insert_leaves_a_durable_home_untouched(backend, t
 @pytest.mark.parametrize("backend", ["memory", "disk", "sharded", "tcp"])
 def test_a_non_integral_series_id_or_k_is_refused_not_truncated(backend, tmp_path):
     """``delete(2.9)`` used to delete series 2, ``delete(True)`` series 1,
-    and ``k`` of 2.5 (2.7 in a wire frame) or ``True`` was served as 2 or 1.
+    and ``k`` of 2.5 (2.7 in a wire frame) or ``True`` was served as 2 or 1;
+    on the read side a page-file row or a shard was looked up the same way.
     Each is one ``TypeError`` (``bad_request`` over TCP) and nothing
     changes; NumPy integers still work."""
     rng = np.random.default_rng(5)
@@ -324,6 +325,14 @@ def test_a_non_integral_series_id_or_k_is_refused_not_truncated(backend, tmp_pat
         host = _ServerThread(ShardedEngine.from_database(db, 2))
         target = f"tcp://127.0.0.1:{host.port}"
     refused = ServerError if host else TypeError
+    # the read side: a page-file row and a shard are looked up by id too
+    lookup = {"disk": lambda i: db.data[i], "sharded": lambda i: target.shard_of(i)}
+    if backend in lookup:
+        for bad in (2.9, 2.0, True, np.float64(1.0)):
+            with pytest.raises(TypeError, match="series_id must be an integer"):
+                lookup[backend](bad)
+        expected = data[3] if backend == "disk" else 1
+        assert np.array_equal(lookup[backend](np.int64(3)), expected)
     try:
         with connect(target) as client:
             for bad in (2.9, 2.0, True, np.float64(1.0)):

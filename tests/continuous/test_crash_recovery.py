@@ -1,7 +1,7 @@
 """SIGKILL mid-notify: recovery re-emits exactly the unconfirmed deltas.
 
 The child opens a durable database home plus a subscription registry with
-``FsyncPolicy.ALWAYS``, registers a k-NN watch and an anomaly watch, and
+``FsyncPolicy.ALWAYS``, registers a k-NN watch and a range watch, and
 streams inserts, printing every delivered notification as a JSON line
 *before* the registry acks it (the sink-then-ack order under test).  The
 parent SIGKILLs it mid-stream — the kill can land between a delivery and
@@ -9,8 +9,8 @@ its ack, between the WAL fsync and the delivery, or mid-append — then
 reopens everything, resyncs, and plays consumer: notifications are
 de-duplicated by ``seq``.  After the merge
 
-* no alert or frontier is lost — the consumer's final state equals a
-  scratch run on the recovered database, and
+* no frontier is lost — the consumer's final state equals a scratch run
+  on the recovered database, and
 * no duplicate differs — any re-delivered seq carries the same content
   as the original, so seq-deduplication is safe.
 """
@@ -25,11 +25,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.continuous import (
-    ContinuousEvaluator,
-    OnlineDiscordScorer,
-    SubscriptionRegistry,
-)
+from repro.continuous import ContinuousEvaluator, SubscriptionRegistry
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.io import open_database
@@ -38,8 +34,7 @@ from repro.reduction import PAA
 LENGTH = 32
 SEED_ROWS = 8
 K = 3
-WINDOW = 8
-THRESHOLD = 1.0
+RADIUS = 1.0
 CHILD_SEED = 1234
 TOTAL_INSERTS = 60
 
@@ -51,9 +46,9 @@ CHILD_SCRIPT = textwrap.dedent(
     import numpy as np
 
     from repro.continuous import (
-        AnomalyWatch,
         ContinuousEvaluator,
         KnnWatch,
+        RangeWatch,
         SubscriptionRegistry,
     )
     from repro.io import open_database
@@ -71,22 +66,17 @@ CHILD_SCRIPT = textwrap.dedent(
     rng = np.random.default_rng({seed})
     query = np.asarray(db.data)[0] + 0.01
     evaluator.subscribe(KnnWatch(query=query, k={k}), sink=sink)
-    evaluator.subscribe(
-        AnomalyWatch(window={window}, threshold={threshold}, stride=2, history=48),
-        sink=sink,
-    )
+    evaluator.subscribe(RangeWatch(query=query, radius={radius}), sink=sink)
     for i in range(total):
         if i % 3 == 0:
-            row = query + rng.normal(scale=0.05, size={length})
+            row = query + rng.normal(scale=0.05, size={length})  # joins both
         elif i % 7 == 5:
-            row = np.sin(np.linspace(0, 6, {length})) + 6.0  # discord material
+            row = np.sin(np.linspace(0, 6, {length})) + 6.0
         else:
             row = rng.normal(size={length}).cumsum()
         evaluator.insert(row)
     """
-).format(
-    seed=CHILD_SEED, k=K, window=WINDOW, threshold=THRESHOLD, length=LENGTH
-)
+).format(seed=CHILD_SEED, k=K, radius=RADIUS, length=LENGTH)
 
 
 def seed_home(tmp_path):
@@ -160,7 +150,6 @@ def test_sigkill_mid_notify_loses_and_duplicates_nothing(tmp_path, kill_after):
             original = seen[key]
             assert payload["ids"] == original["ids"]
             assert payload["distances"] == original["distances"]
-            assert payload["alert"] == original["alert"]
         else:
             seen[key] = payload
 
@@ -169,38 +158,18 @@ def test_sigkill_mid_notify_loses_and_duplicates_nothing(tmp_path, kill_after):
         by_sid.setdefault(sid, {})[seq] = payload
 
     states = registry.subscriptions()
-    knn_sid = next(s for s, st in states.items() if st.query.kind == "knn")
-    anomaly_sid = next(s for s, st in states.items() if st.query.kind == "anomaly")
-
-    # nothing lost: the consumer's newest frontier is the scratch answer
-    knn_notes = by_sid[knn_sid]
-    final = knn_notes[max(knn_notes)]
-    query = states[knn_sid].query.query
-    scratch = db.knn_batch(query[None, :], QueryOptions(k=K)).results[0]
-    assert final["ids"] == [int(g) for g in scratch.ids]
-    assert final["distances"] == [float(d) for d in scratch.distances]
-
-    # and the k-NN seqs the consumer holds are gapless from 1
-    assert sorted(knn_notes) == list(range(1, max(knn_notes) + 1))
-
-    # anomaly watch: the merged alert stream is exactly what scoring the
-    # recovered rows from the subscription cursor reproduces
-    watch = states[anomaly_sid].query
-    scorer = OnlineDiscordScorer(
-        window=watch.window,
-        threshold=watch.threshold,
-        stride=watch.stride,
-        max_segments=watch.max_segments,
-        history=watch.history,
-    )
-    expected = []
-    data = np.asarray(db.data)
-    for gid in range(states[anomaly_sid].from_row, data.shape[0]):
-        expected.extend(scorer.extend(data[gid]))
-    merged_alerts = [
-        by_sid[anomaly_sid][seq]["alert"]
-        for seq in sorted(by_sid[anomaly_sid])
-        if by_sid[anomaly_sid][seq]["alert"] is not None
-    ]
-    assert merged_alerts == [a.to_payload() for a in expected]
+    scratch = {
+        "knn": lambda query: db.knn_batch(query.query[None, :], QueryOptions(k=K)).results[0],
+        "range": lambda query: db.range_query(query.query, query.radius),
+    }
+    assert sorted(st.query.kind for st in states.values()) == ["knn", "range"]
+    for sid, state in states.items():
+        # nothing lost: the consumer's newest frontier is the scratch answer
+        notes = by_sid[sid]
+        final = notes[max(notes)]
+        reference = scratch[state.query.kind](state.query)
+        assert final["ids"] == [int(g) for g in reference.ids]
+        assert final["distances"] == [float(d) for d in reference.distances]
+        # and the seqs the consumer holds are gapless from 1
+        assert sorted(notes) == list(range(1, max(notes) + 1))
     evaluator.close()

@@ -8,14 +8,7 @@ before it acks, so a failed sink never advances the acked seq.
 import numpy as np
 import pytest
 
-from repro.continuous import (
-    AnomalyWatch,
-    ContinuousEvaluator,
-    KnnWatch,
-    OnlineDiscordScorer,
-    RangeWatch,
-    SubsequenceWatch,
-)
+from repro.continuous import ContinuousEvaluator, KnnWatch, RangeWatch
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.reduction import PAA
@@ -139,78 +132,16 @@ class TestRangeWatch:
         assert list(notes[-1].distances) == list(reference.distances)
 
 
-class TestSubsequenceWatch:
-    def test_sees_only_rows_inserted_after_subscribing(self):
-        db = make_db()
-        evaluator = ContinuousEvaluator(db)
-        pattern = np.sin(np.linspace(0.0, 3.0, 8))
-        sid, notes = collect(
-            evaluator, SubsequenceWatch(pattern=pattern, radius=0.5)
-        )
-        assert notes[0].full and notes[0].matches == ()
-
-        rng = np.random.default_rng(9)
-        carrier = rng.normal(size=LENGTH).cumsum()
-        carrier[10:18] = pattern  # plant one exact occurrence
-        gid = evaluator.insert(carrier)
-        assert len(notes) == 2
-        match_gids = {g for g, _, _ in notes[1].matches}
-        assert match_gids == {gid}
-        start = notes[1].matches[0][1]
-        window = carrier[start : start + 8]
-        assert float(np.linalg.norm(window - pattern)) <= 0.5
-
-        evaluator.insert(rng.normal(size=LENGTH).cumsum() + 100.0)  # no match
-        assert len(notes) == 2
-        assert evaluator.delete(gid)
-        assert notes[-1].removed == (gid,) and notes[-1].matches == ()
-
-
-class TestAnomalyWatch:
-    def test_alerts_reproduce_the_standalone_scorer(self):
-        db = make_db(count=4)
-        evaluator = ContinuousEvaluator(db)
-        watch = AnomalyWatch(window=8, threshold=0.8, stride=2, history=32)
-        sid, notes = collect(evaluator, watch)
-
-        rng = np.random.default_rng(11)
-        rows = [np.sin(np.linspace(0, 4 * np.pi, LENGTH)) for _ in range(3)]
-        spike = rows[0].copy()
-        spike[12:20] += 8.0  # an obvious discord
-        rows.append(spike)
-        for row in rows:
-            evaluator.insert(row)
-
-        alerts = [n for n in notes if n.alert is not None]
-        assert alerts, "the injected discord never raised an alert"
-        scorer = OnlineDiscordScorer(
-            window=8, threshold=0.8, stride=2, history=32
-        )
-        expected = [a for row in rows for a in scorer.extend(row)]
-        assert [n.alert for n in alerts] == [a.to_payload() for a in expected]
-
-    def test_deletes_do_not_rewind_the_stream(self):
-        db = make_db(count=4)
-        evaluator = ContinuousEvaluator(db)
-        sid, notes = collect(evaluator, AnomalyWatch(window=8, threshold=0.8))
-        gid = evaluator.insert(np.zeros(LENGTH))
-        before = len(notes)
-        assert evaluator.delete(gid)
-        assert len(notes) == before
-
-
-BATCH_PATTERN = np.sin(np.linspace(0.0, 3.0, 8))
-
-
 def batch_rows():
-    """Eight rows that move every kind of watch in :data:`BATCH_WATCHES`."""
+    """Eight rows, three of them near the watched base row, that move
+    every kind of watch in :data:`BATCH_WATCHES`."""
     rng = np.random.default_rng(21)
     base = np.asarray(make_db().data)[3]
     wave = np.sin(np.linspace(0, 4 * np.pi, LENGTH))
     rows = [base + rng.normal(scale=0.01, size=LENGTH) for _ in range(3)]
     rows += [wave.copy() for _ in range(3)]
     planted = rng.normal(size=LENGTH).cumsum() + 50.0
-    planted[10:18] = BATCH_PATTERN
+    planted[10:18] = np.sin(np.linspace(0.0, 3.0, 8))
     spike = wave.copy()
     spike[12:20] += 8.0
     return np.vstack(rows + [planted, spike])
@@ -219,8 +150,6 @@ def batch_rows():
 BATCH_WATCHES = {
     "knn": lambda base: KnnWatch(query=base, k=4),
     "range": lambda base: RangeWatch(query=base, radius=1.0),
-    "subsequence": lambda base: SubsequenceWatch(pattern=BATCH_PATTERN, radius=0.5),
-    "anomaly": lambda base: AnomalyWatch(window=8, threshold=0.8, stride=2, history=32),
 }
 BATCH_TARGETS = {
     "memory": make_db,
@@ -240,7 +169,7 @@ class TestInsertBatch:
             # everything but ``generation``: a batch lands whole, so its
             # notifications all carry the post-batch generation
             return [
-                (n.seq, n.kind, n.ids, n.distances, n.added, n.removed, n.matches, n.alert, n.full)
+                (n.seq, n.kind, n.ids, n.distances, n.added, n.removed, n.full)
                 for n in notes
             ]
 
@@ -341,32 +270,6 @@ class TestDeliveryGuarantee:
         reference = target.knn_batch(np.zeros((1, LENGTH)), QueryOptions(k=2)).results[0]
         assert list(notes[-1].ids) == list(reference.ids)
         assert list(evaluator.registry.subscriptions()) == [good_sid]
-
-    def test_refresh_of_an_anomaly_watch_is_a_no_op_even_after_a_restart(self):
-        db = make_db(count=4)
-        evaluator = ContinuousEvaluator(db)
-        sid, notes = collect(evaluator, AnomalyWatch(window=8, threshold=0.8, stride=2))
-        evaluator.insert(np.sin(np.linspace(0, 4 * np.pi, LENGTH)))
-
-        def broken_sink(note):
-            raise ConnectionResetError("consumer went away mid-delivery")
-
-        evaluator.attach_sink(sid, broken_sink)
-        spike = np.sin(np.linspace(0, 4 * np.pi, LENGTH))
-        spike[12:20] += 8.0
-        with pytest.raises(ConnectionResetError):
-            evaluator.insert(spike)  # an alert nobody acknowledged
-        # a restart that has not resynced: the watch is rebuilt from the
-        # registry and scores only what arrives from now on
-        restarted = ContinuousEvaluator(db, evaluator.registry)
-        seq = restarted.registry.get(sid).seq
-        for each in (evaluator, restarted):
-            assert each.refresh(sid) is None  # alerts are point events
-        assert restarted.registry.get(sid).seq == seq
-        # replaying the stream for the unacked alerts is resync's job
-        emitted = restarted.resync(sid)
-        assert emitted and all(n.alert is not None for n in emitted)
-        assert emitted[0].seq == seq + 1
 
     def test_unsubscribe_stops_delivery(self):
         db = make_db()

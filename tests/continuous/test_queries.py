@@ -8,14 +8,7 @@ float values, which must come back bit-identical.
 import numpy as np
 import pytest
 
-from repro.continuous import (
-    AnomalyWatch,
-    KnnWatch,
-    Notification,
-    RangeWatch,
-    SubsequenceWatch,
-    query_from_payload,
-)
+from repro.continuous import KnnWatch, Notification, RangeWatch, query_from_payload
 
 
 class TestValidation:
@@ -29,20 +22,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             RangeWatch(query=np.zeros(4), radius=-1.0)
 
-    def test_subsequence_rejects_short_pattern_and_bad_stride(self):
-        with pytest.raises(ValueError):
-            SubsequenceWatch(pattern=np.zeros(1), radius=1.0)
-        with pytest.raises(ValueError):
-            SubsequenceWatch(pattern=np.zeros(4), radius=1.0, stride=0)
-
-    def test_anomaly_rejects_degenerate_parameters(self):
-        with pytest.raises(ValueError):
-            AnomalyWatch(window=1, threshold=1.0)
-        with pytest.raises(ValueError):
-            AnomalyWatch(window=8, threshold=-0.1)
-        with pytest.raises(ValueError):
-            AnomalyWatch(window=8, threshold=1.0, history=0)
-
 
 class TestPayloadRoundTrip:
     def test_each_kind_round_trips_exactly(self):
@@ -50,8 +29,6 @@ class TestPayloadRoundTrip:
         watches = [
             KnnWatch(query=rng.normal(size=16), k=5),
             RangeWatch(query=rng.normal(size=16), radius=2.25),
-            SubsequenceWatch(pattern=rng.normal(size=8), radius=0.75, stride=2),
-            AnomalyWatch(window=8, threshold=1.5, stride=2, max_segments=4, history=32),
         ]
         for watch in watches:
             rebuilt = query_from_payload(watch.to_payload())
@@ -64,8 +41,10 @@ class TestPayloadRoundTrip:
         assert np.array_equal(rebuilt.query, query)
 
     def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown standing-query kind"):
-            query_from_payload({"kind": "percentile"})
+        # "subsequence" and "anomaly" were kinds once; they are refused now
+        for kind in ("percentile", "subsequence", "anomaly"):
+            with pytest.raises(ValueError, match=f"unknown standing-query kind '{kind}'"):
+                query_from_payload({"kind": kind})
 
 
 class TestNotification:
@@ -90,19 +69,3 @@ class TestNotification:
         payload = note.to_payload()
         assert payload["generation"] == [3, 4]  # JSON-safe on the wire
         assert Notification.from_payload(payload).generation == (3, 4)
-
-    def test_matches_and_alert_round_trip(self):
-        note = Notification(
-            subscription_id="sub-000002",
-            seq=2,
-            kind="subsequence",
-            matches=((11, 4, 0.5), (12, 0, 0.25)),
-        )
-        assert Notification.from_payload(note.to_payload()).matches == note.matches
-        alert = Notification(
-            subscription_id="sub-000004",
-            seq=3,
-            kind="anomaly",
-            alert={"start": 40, "score": 2.5},
-        )
-        assert Notification.from_payload(alert.to_payload()).alert == alert.alert

@@ -8,13 +8,16 @@ contract — route by ``op`` first — is exercised exactly as written.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
-from repro.continuous import KnnWatch
+from repro.continuous import KnnWatch, SubscriptionRegistry
+from repro.continuous.registry import MAGIC
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
+from repro.lifecycle.recordfile import RecordFile
 from repro.reduction import PAA
 from repro.serving import (
     ReproServer,
@@ -217,6 +220,45 @@ class TestSubscribeLifecycle:
 
         reply = run_session(make_db(), client)
         assert reply["ok"] is False and reply["code"] == "bad_request"
+
+    def test_a_removed_kind_is_refused_in_a_home_and_on_the_wire(self, tmp_path):
+        """``subsequence`` and ``anomaly`` watches existed once.  A log that
+        still registers one does not reopen (silently dropping a consumer's
+        subscription would be worse), and a frame asking for one is a
+        ``bad_request`` that leaves the server serving."""
+        removed = {
+            "subsequence": {"kind": "subsequence", "pattern": [0.0, 1.0, 0.0], "radius": 0.5},
+            "anomaly": {"kind": "anomaly", "window": 8, "threshold": 1.0},
+        }
+        for kind, query in removed.items():
+            path = tmp_path / f"{kind}.log"
+            log = RecordFile(path, MAGIC, 1 << 20, json.loads)
+            log.open()
+            record = {"op": "subscribe", "sid": "sub-000001", "counter": 1, "from_row": 0}
+            log.append(json.dumps({**record, "query": query}).encode("utf-8"))
+            log.close()
+            with pytest.raises(ValueError, match=f"unknown standing-query kind '{kind}'"):
+                SubscriptionRegistry(path)
+
+        db = make_db()
+        query = np.asarray(db.data)[0] + 0.01
+
+        async def client(reader, writer, server):
+            replies = []
+            for rid, payload in enumerate(removed.values(), start=1):
+                await send(writer, {"id": rid, "op": "subscribe", "query": payload})
+                replies.append((await collect_until(reader, is_reply(rid)))[1])
+            await send(writer, {"id": 3, "op": "knn", "queries": [query.tolist()], "k": 2})
+            replies.append((await collect_until(reader, is_reply(3)))[1])
+            return replies, len(server.continuous.registry)
+
+        (*refused, answer), registered = run_session(db, client)
+        for reply, kind in zip(refused, removed):
+            assert reply["ok"] is False and reply["code"] == "bad_request"
+            assert kind in reply["error"]
+        reference = db.knn_batch(query[None, :], QueryOptions(k=2)).results[0]
+        assert answer["ok"] and answer["results"][0]["ids"] == [int(g) for g in reference.ids]
+        assert registered == 0
 
 
 class TestShardedPushes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SAPLA, SeriesStats, StreamingSAPLA
+from repro.core import SAPLA, SeriesStats
 from repro.core.areas import area_between_lines
 from repro.core.linefit import LineFit
 from repro.distance import dist_lb, dist_par, euclidean
@@ -79,13 +79,6 @@ class TestReductionInvariants:
         for reducer in (SAPLAReducer(6), PLA(4)):
             recon = reducer.reconstruct(reducer.transform(linear))
             assert float(np.abs(linear - recon).max()) < 1e-6
-
-    @given(series_strategy(8, 60), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=30, deadline=None)
-    def test_streaming_matches_length(self, values, budget):
-        stream = StreamingSAPLA(budget)
-        stream.extend(values)
-        assert stream.representation.length == len(values)
 
 
 class TestDistanceInvariants:
