@@ -33,11 +33,13 @@ verify-lifecycle:
 crash-matrix:
 	python scripts/crash_matrix.py
 
-# experiment service: lint + its tests + a tiny end-to-end matrix — run the
-# smoke spec, render its report, then diff it against the BENCH it just
-# wrote (must pass its own gates and exit 0)
+# experiment service: lint + the reachability check + its tests (a committed
+# BENCH_*.json whose spec no longer parses fails them) + a tiny end-to-end
+# matrix — run the smoke spec, render its report, then diff it against the
+# BENCH it just wrote (must pass its own gates and exit 0)
 verify-experiments:
 	python scripts/check_metric_names.py
+	python scripts/check_reachable.py
 	PYTHONPATH=src pytest tests/experiments -q
 	rm -f /tmp/repro-verify-experiments.sqlite /tmp/BENCH_smoke.json
 	PYTHONPATH=src python -m repro experiment run benchmarks/specs/smoke.toml \

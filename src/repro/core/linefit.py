@@ -15,7 +15,7 @@ with ``S1 = l(l-1)/2`` and ``S2 = l(l-1)(2l-1)/6``.  Therefore the pair
 ``(sum_y, sum_ty)`` is a *sufficient statistic* for the fit, recoverable
 exactly from ``(a, b, l)`` and updatable in O(1) under every operation the
 paper needs.  This module implements the fits in terms of those statistics;
-:mod:`repro.core.paper_equations` re-states the paper's explicit formulas and
+``tests/core/paper_equations.py`` re-states the paper's explicit formulas and
 the test-suite cross-checks the two against each other and against refits.
 """
 

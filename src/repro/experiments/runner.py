@@ -203,7 +203,8 @@ def run_experiment(
 # BENCH_<spec>.json trajectory files
 # ----------------------------------------------------------------------
 def write_bench(summary: RunSummary, bench_dir: PathLike) -> pathlib.Path:
-    """Write the run's ``BENCH_<spec>.json`` trajectory summary."""
+    """Write the run's ``BENCH_<spec>.json`` trajectory summary, creating
+    ``bench_dir`` if it does not exist yet."""
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
         "spec": spec_to_dict(summary.spec),
@@ -217,6 +218,7 @@ def write_bench(summary: RunSummary, bench_dir: PathLike) -> pathlib.Path:
         "cells": summary.cells,
     }
     path = pathlib.Path(bench_dir) / f"BENCH_{summary.spec.name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1) + "\n")
     return path
 

@@ -5,7 +5,6 @@ from .dbch import DBCHNode, DBCHTree
 from .entries import Entry
 from .knn import KNNResult, SeriesDatabase, linear_scan
 from .mbr import Box, feature_vector, feature_weights
-from .pla_mbr import PLABox, pla_feature, pla_mbr_mindist
 from .rtree import RTree, RTreeNode
 from .stats import dbch_overlap, leaf_fill, rtree_overlap
 
@@ -26,7 +25,4 @@ __all__ = [
     "rtree_overlap",
     "dbch_overlap",
     "leaf_fill",
-    "PLABox",
-    "pla_feature",
-    "pla_mbr_mindist",
 ]

@@ -322,10 +322,6 @@ class SeriesDatabase(MutableDatabase):
         """Number of live (non-tombstoned) series."""
         return len(self._live_ids)
 
-    def live_ids(self) -> "List[int]":
-        """Every live (non-tombstoned) series id, ascending."""
-        return sorted(self._live_ids)
-
     # ------------------------------------------------------------------
     def ingest(
         self,

@@ -1,16 +1,11 @@
-"""Evaluation metrics: max deviation, pruning power, accuracy, CPU timing."""
+"""Evaluation metrics: max deviation, pruning power, accuracy."""
 
 from ..index.knn import KNNResult
 from .deviation import max_deviation, segment_deviations, sum_of_segment_deviations
-from .timing import CPUTimer, WallTimer, cpu_time, wall_time
 
 __all__ = [
     "max_deviation",
     "segment_deviations",
     "sum_of_segment_deviations",
-    "CPUTimer",
-    "WallTimer",
-    "cpu_time",
-    "wall_time",
     "KNNResult",
 ]

@@ -274,13 +274,6 @@ class ShardedEngine:
         """Number of live (non-tombstoned) series across all shards."""
         return sum(len(sh) for sh in self._shards)
 
-    def live_ids(self) -> "List[int]":
-        """Every live (non-tombstoned) global series id, ascending."""
-        n = len(self._shards)
-        return sorted(
-            local * n + s for s, sh in enumerate(self._shards) for local in sh.live_ids()
-        )
-
     def shard_of(self, series_id: int) -> int:
         """The shard a global series id lives in."""
         return require_int(series_id, "series_id") % len(self._shards)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import paper_equations as pe
+from tests.core import paper_equations as pe
 from repro.core.linefit import LineFit
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)

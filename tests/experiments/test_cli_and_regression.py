@@ -45,6 +45,18 @@ class TestCLI:
         payload = load_bench(bench_path)
         assert payload["n_trials"] == 4
 
+    def test_run_creates_a_missing_bench_dir(self, spec_file, tmp_path):
+        bench_dir = tmp_path / "not" / "yet"
+        code = main(
+            [
+                "experiment", "run", str(spec_file),
+                "--store", str(tmp_path / "store.sqlite"),
+                "--bench-dir", str(bench_dir),
+            ]
+        )
+        assert code == 0
+        assert load_bench(bench_dir / "BENCH_tinyspec.json")["n_trials"] == 4
+
     def test_report_renders_trend(self, spec_file, tmp_path, capsys):
         run_spec(spec_file, tmp_path, "base")
         code = main(

@@ -20,7 +20,8 @@ from repro.kinds import IndexKind
 
 pytestmark = pytest.mark.experiments
 
-SPEC_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "specs"
+REPO = pathlib.Path(__file__).resolve().parents[2]
+SPEC_DIR = REPO / "benchmarks" / "specs"
 
 
 class TestValidation:
@@ -121,3 +122,12 @@ class TestSerialisation:
         spec = load_spec(SPEC_DIR / name)
         assert spec.gates  # both committed specs carry regression gates
         assert expand(spec)
+
+    def test_committed_bench_files_carry_a_spec_that_parses(self):
+        """A committed ``BENCH_*.json`` must still name a spec the service
+        accepts, or ``experiment diff`` cannot use it as a baseline."""
+        paths = sorted(REPO.glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            spec = spec_from_dict(json.loads(path.read_text())["spec"])
+            assert path.name == f"BENCH_{spec.name}.json"

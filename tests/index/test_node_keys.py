@@ -93,12 +93,17 @@ def test_keys_follow_splits_and_condenses(name, mode):
             assert_keys_are_node_distances(db, db.tree, queries[:1])
     assert session.report().counters["dbch.splits"] > 0
     peak = node_count(db.tree)
-    for series_id in db.live_ids()[::2] + db.live_ids()[1::4]:
+    live = list(range(len(data)))
+    first = live[::2] + live[1::4]
+    for series_id in first:
         db.delete(series_id)
         assert_keys_are_node_distances(db, db.tree, queries[:1])
     assert node_count(db.tree) < peak
-    for series_id in db.live_ids():
+    rest = [i for i in live if i not in first]
+    assert len(db) == len(rest)
+    for series_id in rest:
         db.delete(series_id)
+    assert len(db) == 0
     assert_keys_are_node_distances(db, db.tree, queries)  # empty root: 0.0
 
 

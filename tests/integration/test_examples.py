@@ -6,12 +6,22 @@ import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
+REPO = pathlib.Path(__file__).resolve().parents[2]
+EXAMPLES_DIR = REPO / "examples"
 SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
-def test_examples_exist():
-    assert len(SCRIPTS) >= 8
+def readme_examples():
+    """The scripts README's "Runnable examples" table names."""
+    text = (REPO / "README.md").read_text()
+    table = text[text.index("Runnable examples"):].split("\n\n")[1]
+    return {line.split("`")[1] for line in table.splitlines() if line.startswith("| `")}
+
+
+def test_examples_match_the_readme_table():
+    listed = readme_examples()
+    assert listed
+    assert {script.name for script in SCRIPTS} == listed
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

@@ -70,9 +70,15 @@ def query_grid(seed=7):
     return rng.normal(size=(4, LENGTH)).cumsum(axis=1)
 
 
+def live_ids(db):
+    """``db``'s live series ids, ascending."""
+    return sorted(e.series_id for e in db.entries)
+
+
 def assert_same_database(reopened, reference):
     assert tree_signature(reopened.tree) == tree_signature(reference.tree)
-    assert reopened.live_ids() == reference.live_ids()
+    assert live_ids(reopened) == live_ids(reference)
+    assert len(reopened) == len(reference)
     for query in query_grid():
         for k in (1, 4, 9):
             assert reopened.knn(query, k) == reference.knn(query, k)
@@ -161,11 +167,12 @@ class TestReopenPacksOnce:
         home, _ = saved_home(tmp_path, kind, reducer_name, index, tombstones)
         reopened = open_database(home)
         check_invariants(reopened)
+        ids = live_ids(reopened)
         rng = np.random.default_rng(11)
         for row in rng.normal(size=(7, LENGTH)).cumsum(axis=1):
-            reopened.insert(row)
+            ids.append(reopened.insert(row))
             check_invariants(reopened)
-        for series_id in reopened.live_ids()[::4]:
+        for series_id in ids[::4]:
             reopened.delete(series_id)
             check_invariants(reopened)
         assert len(reopened.tree) == len(reopened)

@@ -22,6 +22,7 @@ from tests.io.test_reopen_packs import (
     LENGTH,
     assert_same_database,
     check_invariants,
+    live_ids,
 )
 
 
@@ -80,11 +81,12 @@ class TestCompactionPacks:
         db = churned(tmp_path, kind, name, index)
         compact(db)
         check_invariants(db)
+        ids = live_ids(db)
         rng = np.random.default_rng(12)
         for row in rng.normal(size=(6, LENGTH)).cumsum(axis=1):
-            db.insert(row)
+            ids.append(db.insert(row))
             check_invariants(db)
-        for series_id in db.live_ids()[1::3]:
+        for series_id in ids[1::3]:
             db.delete(series_id)
             check_invariants(db)
         assert len(db.tree) == len(db)

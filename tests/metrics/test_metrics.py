@@ -1,18 +1,10 @@
 """Tests for the evaluation metrics."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.core.segment import LinearSegmentation, Segment
-from repro.metrics import (
-    CPUTimer,
-    cpu_time,
-    max_deviation,
-    segment_deviations,
-    sum_of_segment_deviations,
-)
+from repro.metrics import max_deviation, segment_deviations, sum_of_segment_deviations
 
 
 def make_rep():
@@ -52,26 +44,3 @@ class TestSegmentDeviations:
         with pytest.raises(ValueError):
             segment_deviations(np.zeros(5), make_rep())
 
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = CPUTimer()
-        with cpu_time(timer):
-            sum(i * i for i in range(200_000))
-        first = timer.elapsed
-        assert first > 0.0
-        with cpu_time(timer):
-            sum(i * i for i in range(200_000))
-        assert timer.elapsed > first
-
-    def test_context_manager_creates_timer(self):
-        with cpu_time() as timer:
-            time.process_time()  # trivial work
-        assert timer.elapsed >= 0.0
-
-    def test_stop_returns_delta(self):
-        timer = CPUTimer()
-        timer.start()
-        delta = timer.stop()
-        assert delta >= 0.0
-        assert timer.elapsed == pytest.approx(delta)
