@@ -14,8 +14,10 @@ import numpy as np
 
 from ..core.sapla import SAPLA
 from ..data.normalize import resample_to_length
-from ..index.knn import SeriesDatabase, linear_scan
-from ..kinds import DistanceMode, IndexKind
+from ..distance import dist_par_batch
+from ..engine.states import gather_rows
+from ..index.knn import KNNResult, SeriesDatabase, TopK, linear_scan
+from ..kinds import IndexKind
 from ..metrics.deviation import max_deviation, sum_of_segment_deviations
 from ..reduction import REDUCERS
 from ..reduction.base import Reducer
@@ -32,6 +34,7 @@ __all__ = [
     "run_worked_example",
     "run_bound_ablation",
     "run_dbch_ablation",
+    "dist_par_scan",
 ]
 
 #: the worked series of paper Figs. 1, 5, 6, 8
@@ -325,26 +328,60 @@ def run_bound_ablation(config: ExperimentConfig, n_coefficients: int = 12) -> "L
     return rows
 
 
+def dist_par_scan(db: SeriesDatabase, query: np.ndarray, k: int) -> KNNResult:
+    """k-NN by a filter-and-refine scan with the paper's Dist_PAR as the bound.
+
+    Dist_PAR is not a lower bound for adaptive layouts (EXPERIMENTS.md
+    deviation 1), so no database answers with it; the DBCH ablation measures
+    the as-published bound here.  Rows of ``db``'s columnar store are bounded
+    with :func:`repro.distance.dist_par_batch` against the query's own
+    reduction, then verified in ``(bound, id)`` order until the next bound
+    is strictly above the k-th best distance so far.
+    """
+    sids, columns = db.stacked_entries()
+    bounds = dist_par_batch(db.reducer.transform(query), columns)
+    best = TopK(k)
+    verified = 0
+    for row in np.lexsort((sids, bounds)):
+        if best.full and bounds[row] > best.threshold:
+            break
+        sid = int(sids[row])
+        distance = np.linalg.norm(gather_rows(db.data, [sid]) - query[None, :], axis=1)[0]
+        best.offer(float(distance), sid)
+        verified += 1
+    ranked = best.ranked()
+    return KNNResult(
+        ids=[sid for _, sid in ranked],
+        distances=[d for d, _ in ranked],
+        n_verified=verified,
+        n_total=len(sids),
+    )
+
+
 def run_dbch_ablation(config: ExperimentConfig, n_coefficients: int = 12) -> "List[Dict]":
-    """DBCH geometry driven by Dist_PAR vs Dist_LB-style query bounds."""
-    rows = []
-    for mode in (DistanceMode.PAR, DistanceMode.LB):
-        prunes, accs = [], []
-        for dataset in config.datasets():
-            reducer = make_reducer("SAPLA", n_coefficients)
-            db = SeriesDatabase(reducer, index=IndexKind.DBCH, distance_mode=mode)
-            db.ingest(dataset.data)
-            for query in dataset.queries:
-                for k in config.ks:
-                    truth = db.ground_truth(query, k)
-                    result = db.knn(query, k)
-                    prunes.append(result.pruning_power)
-                    accs.append(result.accuracy_against(truth))
-        rows.append(
-            {
-                "query_bound": f"Dist_{mode.upper()}",
-                "pruning_power": float(np.mean(prunes)),
-                "accuracy": float(np.mean(accs)),
-            }
-        )
-    return rows
+    """The as-published Dist_PAR (a scan) vs Dist_LB (the DBCH-tree) as the
+    SAPLA query bound: pruning power and accuracy against the exact k-NN."""
+    searches = {
+        ("Dist_PAR", "scan"): dist_par_scan,
+        ("Dist_LB", "dbch"): SeriesDatabase.knn,
+    }
+    outcomes = {key: ([], []) for key in searches}
+    for dataset in config.datasets():
+        db = SeriesDatabase(make_reducer("SAPLA", n_coefficients), index=IndexKind.DBCH)
+        db.ingest(dataset.data)
+        for query in dataset.queries:
+            for k in config.ks:
+                truth = db.ground_truth(query, k)
+                for key, search in searches.items():
+                    result = search(db, query, k)
+                    outcomes[key][0].append(result.pruning_power)
+                    outcomes[key][1].append(result.accuracy_against(truth))
+    return [
+        {
+            "query_bound": bound,
+            "search": search,
+            "pruning_power": float(np.mean(prunes)),
+            "accuracy": float(np.mean(accs)),
+        }
+        for (bound, search), (prunes, accs) in outcomes.items()
+    ]

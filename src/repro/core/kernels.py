@@ -109,10 +109,13 @@ def areas_between_lines(
     d0 = db
     d1 = da * t1 + db
     trapezoid = 0.5 * (np.abs(d0) + np.abs(d1)) * t1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the triangles are computed on every lane but kept only where the lines
+    # cross, where they are finite; elsewhere ``t_cross`` may overflow and
+    # the triangles turn inf - inf.  ``d0 * d1`` is read for its sign only.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_cross = np.where(da != 0.0, -db / np.where(da != 0.0, da, 1.0), 0.0)
-    triangles = 0.5 * np.abs(d0) * t_cross + 0.5 * np.abs(d1) * (t1 - t_cross)
-    crossing = (da != 0.0) & (d0 * d1 < 0.0)
+        triangles = 0.5 * np.abs(d0) * t_cross + 0.5 * np.abs(d1) * (t1 - t_cross)
+        crossing = (da != 0.0) & (d0 * d1 < 0.0)
     area = np.where(crossing, triangles, trapezoid)
     return np.where(t1 == 0.0, 0.0, area)
 

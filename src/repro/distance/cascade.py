@@ -1,7 +1,7 @@
 """Cascaded bound evaluation — cheap dominated tiers ahead of the exact bound.
 
 The hot cost of every search path is the per-candidate ``query_bound`` call
-(Dist_PAR's union partition, Dist_LB's projection, CHEBY's reconstruction).
+(Dist_LB's projection, CHEBY's reconstruction).
 A :class:`BoundCascade` puts a *cheapest-first* tier in front of it: an O(1)
 norm-difference bound that is **dominated** by the method's own bound —
 never above the value ``query_bound`` would return — so a candidate whose
@@ -10,21 +10,17 @@ exact same outcome the full evaluation would have had.  Results therefore
 stay bit-identical to the uncascaded search: the cascade only ever avoids
 work whose conclusion is already forced.
 
-Tier per distance mode (the one cheap tier each mode admits):
+Tier per query bound (the one cheap tier each bound admits):
 
 ====================  ==================================================
-mode                  cheap dominated tier (``<=`` the mode's bound)
+bound                 cheap dominated tier (``<=`` the bound)
 ====================  ==================================================
-``par``               ``| ||Q-check|| - ||C-check|| |`` — reverse triangle
-                      inequality on the reconstruction distance Dist_PAR
-                      computes in closed form.
 ``lb``                ``max(0, ||C-check|| - ||Q||)`` — projection onto
                       C's windows contracts the query norm, so
                       ``Dist_LB >= ||C-check|| - ||P_C Q|| >= ||C-check|| - ||Q||``.
-``ae``                ``| ||Q|| - ||C-check|| |`` — reverse triangle on
-                      the raw-vs-reconstruction Euclidean distance.
-``aligned``           same as ``par`` (aligned Dist_S sums are exactly the
-                      reconstruction distance).
+``aligned``           ``| ||Q-check|| - ||C-check|| |`` — reverse triangle
+                      inequality on the reconstruction distance, which the
+                      aligned Dist_S sums are exactly.
 ``triangle``          ``max(0, | ||Q-check|| - ||C-check|| | - res_Q - res_C)``.
 ``mindist``           none — SAX MINDIST has no norm form; the cascade
                       reports itself unsupported and callers fall back.
@@ -81,11 +77,12 @@ CANCEL_REL = 1e-9
 GUARD_ABS = 1e-12
 
 #: distance-suite modes that admit a cheap dominated tier.
-_SUPPORTED_MODES = ("par", "lb", "ae", "aligned", "triangle")
+_SUPPORTED_MODES = ("lb", "aligned", "triangle")
 
-#: modes whose pairwise distance is the reconstruction L2 distance — a
-#: pseudometric, so triangle-inequality *upper* bounds are valid too.
-_RECON_PAIRWISE_MODES = ("par", "lb", "ae", "aligned")
+#: modes whose pairwise distance (Dist_PAR, or the aligned Dist_S sum) is
+#: the reconstruction L2 distance — a pseudometric, so triangle-inequality
+#: *upper* bounds are valid too.
+_RECON_PAIRWISE_MODES = ("lb", "aligned")
 
 
 def _segmentation_norm(rep: LinearSegmentation) -> float:
@@ -233,12 +230,12 @@ class QueryCascade:
         self.n_cheap = 0
         self.n_refine = 0
         self._q_residual = 0.0
-        if self.mode in ("lb", "ae"):
+        if self.mode == "lb":
             self._q_norm = float(np.linalg.norm(np.asarray(ctx.series, dtype=float)))
         elif self.mode == "triangle":
             self._q_norm = cascade.rep_norm(ctx.representation)
             self._q_residual = float(ctx.representation.residual_norm)
-        else:  # par / aligned
+        else:  # aligned
             self._q_norm = cascade.rep_norm(ctx.representation)
         #: lazily-built SeriesStats for Dist_LB refinement
         self._q_stats = None

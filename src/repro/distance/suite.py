@@ -12,8 +12,8 @@ indexing needs:
 * optionally ``pairwise_batch(rep, columns)`` — ``pairwise(rep, row)``
   against every row of a :class:`~repro.distance.columnar.SegmentColumns`,
   bit-identical to the scalar call: how a DBCH query measures every node
-  hull in one pass.  Dist_PAR for the adaptive methods (in every mode), the
-  aligned kernel for PLA, PAA and PAALM; CHEBY and SAX have none.
+  hull in one pass.  Dist_PAR for the adaptive methods, the aligned kernel
+  for PLA, PAA and PAALM; CHEBY and SAX have none.
 * optionally ``stack`` / ``query_bound_batch`` — a vectorised form of
   ``query_bound`` over a whole collection at once, used by
   :class:`repro.engine.QueryEngine` to evaluate every candidate bound of a
@@ -22,28 +22,26 @@ indexing needs:
   the database then grows with ``extend``).  Every segment method has one:
   the aligned equal-length methods (PLA, PAA, PAALM) through the kernel
   here, which needs one shared layout; the adaptive ones (SAPLA, APLA,
-  APCA) through
-  :func:`~repro.distance.dist_lb.dist_lb_batch` /
-  :func:`~repro.distance.dist_par.dist_par_batch`, which are bit-identical
-  to ``query_bound``.  ``DistanceMode.AE``, CHEBY and SAX have only the
-  scalar bound.
+  APCA) through :func:`~repro.distance.dist_lb.dist_lb_batch`, which is
+  bit-identical to ``query_bound``.  CHEBY and SAX have only the scalar
+  bound.
 
-``mode`` arguments accept a :class:`repro.kinds.DistanceMode` or its value
-(``'par'`` / ``'lb'`` / ``'ae'``); unknown values raise immediately at
-suite-build time rather than deep inside the first query.
+Each method has one query bound.  For the adaptive methods it is Dist_LB,
+the only one of the paper's adaptive measures that lower-bounds the
+Euclidean distance; Dist_PAR (Def. 5.1) is not a lower bound for adaptive
+layouts (EXPERIMENTS.md deviation 1), so it serves only as their pairwise
+metric, and Dist_AE only where Fig. 10 calls it by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..kinds import DistanceMode
 from ..reduction.base import Reducer
 from .columnar import SegmentColumns, lane_sum
-from .dist_ae import dist_ae
 from .dist_lb import dist_lb, dist_lb_batch
 from .dist_par import dist_par, dist_par_batch
 from .equal_length import dist_cheby, dist_paa, dist_pla
@@ -60,7 +58,7 @@ class QueryContext:
 
     ``representation`` is the query's reduction.  Pass it when it is already
     in hand; otherwise pass ``reducer`` and it is computed on first access —
-    a bound that reads only the raw series (Dist_LB, Dist_AE) then never
+    a bound that reads only the raw series (Dist_LB) then never
     reduces the query at all, and every other path reduces it exactly once.
     """
 
@@ -88,6 +86,8 @@ class DistanceSuite:
     """Distances for one method (see module docstring)."""
 
     method: str
+    #: the query bound's family — ``"lb"``, ``"aligned"``, ``"triangle"`` or
+    #: ``"mindist"`` — which keys the cascade tier and the pruning counter
     mode: str
     query_bound: Callable[[QueryContext, Any], float]
     pairwise: Callable[[Any, Any], float]
@@ -134,37 +134,22 @@ def _aligned_query_batch(ctx: QueryContext, columns: SegmentColumns) -> np.ndarr
     return _aligned_bound_batch(ctx.representation, columns)
 
 
-def make_suite(
-    reducer: Reducer, mode: "Union[DistanceMode, str]" = DistanceMode.PAR
-) -> DistanceSuite:
+def make_suite(reducer: Reducer) -> DistanceSuite:
     """Build the distance suite for ``reducer``.
 
-    ``mode`` selects the adaptive-method query bound: :class:`DistanceMode`
-    members (``PAR`` — Dist_PAR, the paper's tight measure; ``LB`` —
-    Dist_LB, the unconditional lower bound; ``AE`` — Dist_AE, tight but not
-    lower-bounding) or their string values.
-    Equal-length and symbolic methods ignore ``mode``.  Validation is eager:
-    an unknown mode raises here, never mid-query.
+    The adaptive methods bound queries with Dist_LB, read from the raw
+    query alone, and measure representations against each other with
+    Dist_PAR; the equal-length methods use their aligned distance for both.
     """
-    mode = DistanceMode(mode)
     name = reducer.name
     if name in ADAPTIVE_METHODS:
-        batch = None
-        if mode is DistanceMode.PAR:
-            query = lambda ctx, rep: dist_par(ctx.representation, rep)
-            batch = lambda ctx, columns: dist_par_batch(ctx.representation, columns)
-        elif mode is DistanceMode.LB:
-            query = lambda ctx, rep: dist_lb(ctx.series, rep)
-            batch = lambda ctx, columns: dist_lb_batch(ctx.series, columns)
-        else:
-            query = lambda ctx, rep: dist_ae(ctx.series, rep)
         return DistanceSuite(
             method=name,
-            mode=mode.value,
-            query_bound=query,
+            mode="lb",
+            query_bound=lambda ctx, rep: dist_lb(ctx.series, rep),
             pairwise=dist_par,
-            stack=SegmentColumns if batch is not None else None,
-            query_bound_batch=batch,
+            stack=SegmentColumns,
+            query_bound_batch=lambda ctx, columns: dist_lb_batch(ctx.series, columns),
             pairwise_batch=dist_par_batch,
         )
     if name == "PLA":

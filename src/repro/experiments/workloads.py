@@ -22,7 +22,7 @@ import numpy as np
 
 from ..engine import ExecutionMode, QueryOptions
 from ..index import SeriesDatabase
-from ..kinds import DistanceMode, IndexKind
+from ..kinds import IndexKind
 from ..reduction import REDUCERS
 from .spec import WORKLOAD_FAMILIES, TrialSpec
 
@@ -190,13 +190,6 @@ def run_pruning(trial: TrialSpec) -> "Dict[str, float]":
 # ----------------------------------------------------------------------
 # serving: sharded TCP scatter-gather under concurrent pipelined load
 # ----------------------------------------------------------------------
-#: reducers whose Dist_PAR is not a guaranteed lower bound; the serving
-#: workload runs them under DistanceMode.LB so sharded scatter-gather is
-#: provably bit-identical to the unsharded engine (the per-shard top-k
-#: union only covers the global top-k for exact configurations).
-_ADAPTIVE_METHODS = frozenset({"SAPLA", "APLA", "APCA"})
-
-
 def run_serving(trial: TrialSpec) -> "Dict[str, float]":
     """Sharded ``repro serve`` throughput under pipelined loopback load.
 
@@ -218,12 +211,7 @@ def run_serving(trial: TrialSpec) -> "Dict[str, float]":
     engine_spec = trial.engine
     scale = trial.scale
     data, queries = make_trial_data(trial)
-    reducer = REDUCERS[trial.reducer.method](n_coefficients=trial.reducer.coefficients)
-    index = None if trial.index_kind is IndexKind.NONE else trial.index_kind
-    mode = (
-        DistanceMode.LB if trial.reducer.method in _ADAPTIVE_METHODS else DistanceMode.PAR
-    )
-    db = SeriesDatabase(reducer, index=index, distance_mode=mode)
+    db = _database(trial)
     db.ingest(data, bulk=db.tree is not None)
 
     options = QueryOptions(k=engine_spec.k, mode=engine_spec.mode)
@@ -339,16 +327,9 @@ def run_continuous(trial: TrialSpec) -> "Dict[str, float]":
     engine_spec = trial.engine
     scale = trial.scale
     data, queries = make_trial_data(trial)
-    mode = (
-        DistanceMode.LB if trial.reducer.method in _ADAPTIVE_METHODS else DistanceMode.PAR
-    )
 
     def _build_engine():
-        reducer = REDUCERS[trial.reducer.method](
-            n_coefficients=trial.reducer.coefficients
-        )
-        index = None if trial.index_kind is IndexKind.NONE else trial.index_kind
-        db = SeriesDatabase(reducer, index=index, distance_mode=mode)
+        db = _database(trial)
         db.ingest(data, bulk=db.tree is not None)
         if engine_spec.shards > 1:
             return ShardedEngine.from_database(db, engine_spec.shards)

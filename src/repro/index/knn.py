@@ -259,9 +259,10 @@ class SeriesDatabase(MutableDatabase):
         index: an :class:`repro.IndexKind` — ``DBCH`` (the paper's
             structure), ``RTREE`` (baseline) or ``NONE``/``None`` (filter
             every representation linearly, no tree), or the enum's value.
-        distance_mode: adaptive-method query-bound mode, a
-            :class:`repro.DistanceMode` or its value (see
-            :func:`repro.distance.make_suite`).
+        distance_mode: accepted for compatibility only: Dist_LB is the one
+            adaptive query bound (see :func:`repro.distance.make_suite`),
+            so anything but :attr:`repro.DistanceMode.LB` or ``"lb"``
+            raises ``ValueError``, and nothing stores the value.
         max_entries / min_entries: node fill factors (paper uses 5 / 2).
 
     The database is mutable and snapshot-consistent: ``insert``/``delete``
@@ -279,7 +280,7 @@ class SeriesDatabase(MutableDatabase):
         self,
         reducer: Reducer,
         index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
-        distance_mode: "Union[DistanceMode, str]" = DistanceMode.PAR,
+        distance_mode: "Union[DistanceMode, str]" = DistanceMode.LB,
         max_entries: int = 5,
         min_entries: int = 2,
     ):
@@ -288,7 +289,8 @@ class SeriesDatabase(MutableDatabase):
         # is no IndexKind raises ValueError here, not mid-query
         kind = None if index is None else IndexKind(index)
         self.index_kind: "Optional[IndexKind]" = None if kind is IndexKind.NONE else kind
-        self.suite = make_suite(reducer, distance_mode)
+        DistanceMode(distance_mode)  # the one member: anything else raises
+        self.suite = make_suite(reducer)
         self.max_entries = max_entries
         self.min_entries = min_entries
         self._rows = MemoryRows()
@@ -474,8 +476,8 @@ class SeriesDatabase(MutableDatabase):
         has the k-th best distance, so subtrees and candidates whose bound
         exceeds ``radius`` are never expanded or verified and the accounting
         (nodes visited, heap pushes, candidates) feeds the same pruning
-        statistics.  With a guaranteed lower bound (``DistanceMode.LB`` for
-        adaptive methods, or any equal-length method) the result is exact.
+        statistics.  With a guaranteed lower bound (Dist_LB for the adaptive
+        methods, or any equal-length method) the result is exact.
         """
         query = np.asarray(query, dtype=float)
         return self.range_batch(query[None, :], radius).results[0]
@@ -525,7 +527,7 @@ class SeriesDatabase(MutableDatabase):
         the entry set is installed, grown in place by each insert and
         rebuilt here after a delete; snapshots and shards all read this one
         store.  ``None`` when the method has no stacked layout
-        (``DistanceMode.AE``, CHEBY, SAX), there are no entries, or the
+        (CHEBY, SAX), there are no entries, or the
         stored layouts cannot be stacked.
         """
         if self.suite.stack is None or not self.entries:

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from ..index.knn import SeriesDatabase
-from ..kinds import IndexKind, suite_distance_mode
+from ..kinds import IndexKind
 from ..reduction import REDUCERS
 from ..storage.database import STORE_FILENAME, DiskBackedDatabase
 from .serialization import from_jsonable, to_jsonable
@@ -56,7 +56,6 @@ def write_database(database: SeriesDatabase, directory: PathLike) -> None:
             "reducer": database.reducer.name,
             "n_coefficients": database.reducer.n_coefficients,
             "index": database.index_kind,
-            "distance_mode": database.suite.mode,
             "max_entries": database.max_entries,
             "min_entries": database.min_entries,
             "row_count": row_count,
@@ -74,7 +73,9 @@ def open_database(directory: PathLike, durability=None):
     Returns a :class:`repro.index.SeriesDatabase` or a
     :class:`repro.storage.DiskBackedDatabase` according to the directory's
     recorded ``kind`` (directories written before the kind field default to
-    the in-memory flavour).
+    the in-memory flavour).  Older configs also name the adaptive query
+    bound they were built with; that key is ignored, and every home
+    reopens with Dist_LB.
 
     If the directory contains a write-ahead log, its committed records past
     the last checkpoint are replayed before the database is returned —
@@ -91,7 +92,6 @@ def open_database(directory: PathLike, durability=None):
     reducer = REDUCERS[config["reducer"]](n_coefficients=config["n_coefficients"])
     raw_index = config.get("index")
     index = None if raw_index is None else IndexKind(raw_index)
-    mode = suite_distance_mode(config.get("distance_mode"))
     payload = json.loads((directory / "representations.json").read_text())
     representations = [from_jsonable(item) for item in payload["representations"]]
     live_ids = config.get("live_ids")
@@ -101,7 +101,6 @@ def open_database(directory: PathLike, durability=None):
             reducer,
             directory / STORE_FILENAME,
             index=index,
-            distance_mode=mode,
             page_size=config["page_size"],
             cache_pages=config["cache_pages"],
         )
@@ -111,7 +110,6 @@ def open_database(directory: PathLike, durability=None):
         database = SeriesDatabase(
             reducer,
             index=index,
-            distance_mode=mode,
             max_entries=config["max_entries"],
             min_entries=config["min_entries"],
         )

@@ -37,7 +37,7 @@ def to_jsonable(representation: Any) -> dict:
         return {
             "type": "segmentation",
             "segments": [
-                {"start": seg.start, "end": seg.end, "a": seg.a, "b": seg.b}
+                {"start": int(seg.start), "end": int(seg.end), "a": seg.a, "b": seg.b}
                 for seg in representation
             ],
         }

@@ -1,14 +1,14 @@
-"""Typed constructor vocabulary: index kinds, adaptive distance modes and
+"""Typed constructor vocabulary: index kinds, the adaptive query bound and
 the one integer check that series ids and neighbour counts pass.
 
-``IndexKind`` names the index structures the paper evaluates and
-``DistanceMode`` the adaptive-method query bounds (paper Sec. 6).  Both are
-``str`` subclasses whose values are what ``config.json``, ``sharding.json``
+``IndexKind`` names the index structures the paper evaluates.  It is a
+``str`` subclass whose values are what ``config.json``, ``sharding.json``
 and the CLI carry, so a value read back from any of them converts with the
-enum's own constructor — ``IndexKind(value)`` / ``DistanceMode(value)`` —
-which raises ``ValueError`` on a typo at construction time instead of
-failing mid-query.  :func:`require_int` refuses a ``bool`` or a float where
-an id or a count belongs, which ``int()`` would truncate instead.
+enum's own constructor — ``IndexKind(value)`` — which raises ``ValueError``
+on a typo at construction time instead of failing mid-query.
+``DistanceMode`` has one member, ``LB``: Dist_LB is the only query bound of
+the adaptive methods.  :func:`require_int` refuses a ``bool`` or a float
+where an id or a count belongs, which ``int()`` would truncate instead.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["IndexKind", "DistanceMode", "suite_distance_mode", "require_int"]
+__all__ = ["IndexKind", "DistanceMode", "require_int"]
 
 
 class IndexKind(str, Enum):
@@ -36,32 +36,19 @@ class IndexKind(str, Enum):
 
 
 class DistanceMode(str, Enum):
-    """Adaptive-method query-bound mode (see :func:`repro.distance.make_suite`).
+    """The adaptive-method query bound: Dist_LB, the only one there is.
 
-    ``PAR`` is Dist_PAR (the paper's tight measure), ``LB`` is Dist_LB (the
-    unconditional lower bound) and ``AE`` is Dist_AE (tight but not
-    lower-bounding).  Equal-length and symbolic methods ignore the mode.
+    Dist_PAR (the paper's Def. 5.1) is not a lower bound for adaptive
+    layouts, so it serves as the DBCH pairwise metric only (see
+    :func:`repro.distance.make_suite`).  The one member remains so that a
+    :class:`repro.index.SeriesDatabase` built with ``DistanceMode.LB``
+    keeps working; it refuses any other value with ``ValueError``.
     """
 
-    PAR = "par"
     LB = "lb"
-    AE = "ae"
 
     def __str__(self) -> str:
         return self.value
-
-
-def suite_distance_mode(reported) -> DistanceMode:
-    """The :class:`DistanceMode` that rebuilds a suite reporting ``reported``.
-
-    A suite's ``mode`` is what gets saved in configs and manifests;
-    non-adaptive suites report ``'aligned'`` etc. and ignore the argument,
-    so anything that is not a ``DistanceMode`` value maps to the default.
-    """
-    try:
-        return DistanceMode(reported)
-    except ValueError:
-        return DistanceMode.PAR
 
 
 def require_int(value, name: str) -> int:

@@ -39,9 +39,7 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "knn.nodes_pruned": (COUNTER, "index nodes enqueued but never expanded"),
     "knn.entries_refined": (COUNTER, "leaf entries verified against raw data"),
     "knn.heap_pushes": (COUNTER, "frontier priority-queue pushes"),
-    "knn.pruned.dist_par": (COUNTER, "candidates pruned by the Dist_PAR bound"),
     "knn.pruned.dist_lb": (COUNTER, "candidates pruned by the Dist_LB bound"),
-    "knn.pruned.dist_ae": (COUNTER, "candidates pruned by the Dist_AE bound"),
     "knn.pruned.aligned": (COUNTER, "candidates pruned by an aligned equal-length bound"),
     "knn.pruned.triangle": (COUNTER, "candidates pruned by the CHEBY triangle bound"),
     "knn.pruned.mindist": (COUNTER, "candidates pruned by the SAX MINDIST bound"),
@@ -172,9 +170,7 @@ CATALOG: "dict[str, tuple[str, str]]" = {
 #: distance-suite mode -> the pruning counter that mode's bound feeds
 #: (keeps dynamically-selected names inside the catalogue contract).
 PRUNED_METRICS: "dict[str, str]" = {
-    "par": "knn.pruned.dist_par",
     "lb": "knn.pruned.dist_lb",
-    "ae": "knn.pruned.dist_ae",
     "aligned": "knn.pruned.aligned",
     "triangle": "knn.pruned.triangle",
     "mindist": "knn.pruned.mindist",

@@ -15,14 +15,11 @@ global view falls out of the invariant.  Global ids are assigned
 sequentially, so within each shard local order equals global order and
 the per-shard tie-break agrees with the unsharded one by construction.
 
-**Exactness caveat:** the merged top-k is bit-identical to the single
-engine whenever the representation bound is a true lower bound (any
-equal-length method, or adaptive methods under
-:attr:`repro.DistanceMode.LB`), because then each shard's top-k is exact
-over its rows and the global top-k is contained in their union.  Under
-the tighter-but-unguaranteed ``Dist_PAR`` both sharded and unsharded
-answers are approximate and may differ the way any two approximate runs
-may.
+**Exactness:** the merged top-k is bit-identical to the single engine
+because every query bound is a true lower bound (Dist_LB for the adaptive
+methods, the aligned bounds for the equal-length ones, CHEBY's triangle
+bound, SAX MINDIST): each shard's top-k is exact over its rows, and the
+global top-k is contained in their union.
 
 **Durability:** :meth:`ShardedEngine.save` writes one sub-directory per
 shard (each with its own WAL under a durability policy) plus a
@@ -48,7 +45,7 @@ from .. import obs
 from ..engine.options import BatchResult, QueryOptions
 from ..engine.states import gather_rows
 from ..index.knn import KNNResult, SeriesDatabase
-from ..kinds import DistanceMode, IndexKind, require_int, suite_distance_mode
+from ..kinds import IndexKind, require_int
 from ..reduction import REDUCERS
 
 __all__ = ["ShardedEngine", "partition_database", "MANIFEST_FILENAME"]
@@ -73,18 +70,6 @@ def _needed_rows(total: int, shard: int, n_shards: int) -> int:
     return (total - shard + n_shards - 1) // n_shards
 
 
-def _clone_empty(db) -> SeriesDatabase:
-    """A fresh, empty database with ``db``'s reducer/index/suite settings."""
-    reducer = REDUCERS[db.reducer.name](n_coefficients=db.reducer.n_coefficients)
-    return SeriesDatabase(
-        reducer,
-        index=db.index_kind,
-        distance_mode=suite_distance_mode(db.suite.mode),
-        max_entries=db.max_entries,
-        min_entries=db.min_entries,
-    )
-
-
 def partition_database(db, n_shards: int) -> "List[SeriesDatabase]":
     """Split ``db`` into ``n_shards`` round-robin shards, reusing its reductions.
 
@@ -102,7 +87,12 @@ def partition_database(db, n_shards: int) -> "List[SeriesDatabase]":
     by_id = {e.series_id: e for e in db.entries}
     shards: "List[SeriesDatabase]" = []
     for s in range(n_shards):
-        shard = _clone_empty(db)
+        shard = SeriesDatabase(
+            REDUCERS[db.reducer.name](n_coefficients=db.reducer.n_coefficients),
+            index=db.index_kind,
+            max_entries=db.max_entries,
+            min_entries=db.min_entries,
+        )
         gids = list(range(s, count, n_shards))
         if gids:
             live = [(local, by_id[g]) for local, g in enumerate(gids) if g in by_id]
@@ -188,7 +178,8 @@ class ShardedEngine:
         :func:`repro.io.open_database`).  If a crash tore an unsynced write
         batch across shards, any shard ahead of the longest consistent
         round-robin prefix is trimmed back to it (and checkpointed so the
-        trim sticks) — exactly the acknowledged prefix survives.
+        trim sticks) — exactly the acknowledged prefix survives.  Older
+        manifests also name the adaptive query bound; that key is ignored.
         """
         from ..io.database import open_database
         from ..lifecycle.recovery import recover_database
@@ -211,7 +202,6 @@ class ShardedEngine:
             shard = SeriesDatabase(
                 reducer,
                 index=None if raw_index is None else IndexKind(raw_index),
-                distance_mode=manifest.get("distance_mode", DistanceMode.PAR),
                 max_entries=int(manifest.get("max_entries", 5)),
                 min_entries=int(manifest.get("min_entries", 2)),
             )
@@ -475,7 +465,6 @@ class ShardedEngine:
             "reducer": template.reducer.name,
             "n_coefficients": template.reducer.n_coefficients,
             "index": template.index_kind,
-            "distance_mode": str(suite_distance_mode(template.suite.mode)),
             "max_entries": template.max_entries,
             "min_entries": template.min_entries,
         }

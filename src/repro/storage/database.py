@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import obs
 from ..index.knn import SeriesDatabase
-from ..kinds import DistanceMode, IndexKind, require_int
+from ..kinds import IndexKind, require_int
 from ..reduction.base import Reducer
 from .pages import PagedSeriesStore
 
@@ -41,7 +41,6 @@ class DiskBackedDatabase(SeriesDatabase):
         store_path: backing file for the raw pages.
         index: an :class:`repro.IndexKind`, its value, or ``None`` (see
             :class:`repro.index.SeriesDatabase`).
-        distance_mode: a :class:`repro.DistanceMode` or its value.
         page_size / cache_pages: storage knobs.
     """
 
@@ -50,11 +49,10 @@ class DiskBackedDatabase(SeriesDatabase):
         reducer: Reducer,
         store_path: PathLike,
         index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
-        distance_mode: "Union[DistanceMode, str]" = DistanceMode.PAR,
         page_size: int = 4096,
         cache_pages: int = 8,
     ):
-        super().__init__(reducer, index=index, distance_mode=distance_mode)
+        super().__init__(reducer, index=index)
         self._rows = PagedRows(store_path, page_size, cache_pages)
 
     def reopen(self, representations: list, live_ids: "Optional[list]" = None) -> None:

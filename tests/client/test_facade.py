@@ -24,7 +24,6 @@ from repro.client import (
 )
 from repro.continuous import RangeWatch
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode
 from repro.lifecycle import DurabilityOptions
 from repro.reduction import PAA, SAPLAReducer
 from repro.serving import FrameError, ReproServer, ServerConfig, ShardedEngine
@@ -35,7 +34,7 @@ LENGTH = 32
 
 def make_db(count=24):
     rng = np.random.default_rng(1)
-    db = SeriesDatabase(PAA(8), index=None, distance_mode=DistanceMode.PAR)
+    db = SeriesDatabase(PAA(8), index=None)
     db.ingest(rng.normal(size=(count, LENGTH)).cumsum(axis=1))
     return db
 
@@ -163,7 +162,7 @@ class _ServerThread:
 
 
 def _disk_db(path, data):
-    db = DiskBackedDatabase(PAA(8), path, index=None, distance_mode=DistanceMode.PAR)
+    db = DiskBackedDatabase(PAA(8), path, index=None)
     db.ingest(data)
     return db
 
@@ -222,11 +221,11 @@ def test_bad_queries_raise_one_error_on_every_backend(backend, bad, tmp_path):
     scan is the path that used to answer an all-NaN query with ``[]``."""
     rng = np.random.default_rng(1)
     data = rng.normal(size=(24, LENGTH)).cumsum(axis=1)
-    db = SeriesDatabase(SAPLAReducer(8), index=None, distance_mode=DistanceMode.LB)
+    db = SeriesDatabase(SAPLAReducer(8), index=None)
     host = None
     if backend == "disk":
         db = DiskBackedDatabase(
-            SAPLAReducer(8), tmp_path / "rows.bin", index=None, distance_mode=DistanceMode.LB
+            SAPLAReducer(8), tmp_path / "rows.bin", index=None
         )
     db.ingest(data)
     if backend == "sharded":
@@ -267,10 +266,10 @@ def test_a_rejected_non_finite_insert_leaves_a_durable_home_untouched(backend, t
     home = tmp_path / "home"
     if backend == "disk":
         db = DiskBackedDatabase(
-            SAPLAReducer(8), tmp_path / "rows.bin", distance_mode=DistanceMode.LB
+            SAPLAReducer(8), tmp_path / "rows.bin"
         )
     else:
-        db = SeriesDatabase(SAPLAReducer(8), distance_mode=DistanceMode.LB)
+        db = SeriesDatabase(SAPLAReducer(8))
     db.ingest(data, bulk=True)
     if backend == "sharded":
         ShardedEngine.from_database(db, 2).save(home)

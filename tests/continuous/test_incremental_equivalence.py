@@ -6,8 +6,8 @@ through a :class:`ContinuousEvaluator`, the last notification a k-NN or
 range subscription delivered must carry exactly — ids *and* float
 distances — what re-running the query one-shot on the mutated target
 returns.  The grid covers both reducer families (PAA aligned, SAPLA under
-:class:`DistanceMode.LB` — adaptive grids need the lower-bound mode for
-exactness), the linear-scan and DBCH index paths, and sharded layouts.
+Dist_LB — exactness needs a lower bound), the linear-scan and DBCH index
+paths, and sharded layouts.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.continuous import ContinuousEvaluator, KnnWatch, RangeWatch
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 from repro.serving import ShardedEngine
 
@@ -32,7 +32,7 @@ def _paa_db(index):
 
 def _sapla_db(index):
     return SeriesDatabase(
-        SAPLAReducer(8), index=index, distance_mode=DistanceMode.LB
+        SAPLAReducer(8), index=index
     )
 
 

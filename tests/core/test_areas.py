@@ -97,3 +97,24 @@ class TestReconstructionArea:
         ref = numeric_area(am, bm, al, bl, 0.0, left.length - 1.0)
         ref += numeric_area(am, am * left.length + bm, ar, br, 0.0, right.length - 1.0)
         assert reconstruction_area(left, right, merged) == pytest.approx(ref, rel=1e-3)
+
+
+def test_vectorised_areas_keep_the_discarded_lanes_quiet():
+    """The kernel computes crossing triangles on every lane; where the lines
+    do not cross, ``-db / da`` may overflow and the unused triangles turn
+    ``inf - inf``.  That must raise no warning and change no value: every
+    lane equals the scalar area."""
+    import warnings
+
+    from repro.core.kernels import areas_between_lines
+
+    a1 = np.array([1e-300, 1.0, -2.0, 1e-300])
+    b1 = np.array([1e10, 0.0, 3.0, -1e300])
+    t1 = np.array([4.0, 4.0, 4.0, 7.0])
+    zeros = np.zeros_like(a1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        areas = areas_between_lines(a1, b1, zeros, zeros, t1)
+    lanes = zip(a1.tolist(), b1.tolist(), t1.tolist())
+    expected = [area_between_lines(a, b, 0.0, 0.0, 0.0, end) for a, b, end in lanes]
+    assert areas.tolist() == expected

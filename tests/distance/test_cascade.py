@@ -21,20 +21,24 @@ from repro.distance.cascade import (
     reconstruction_norm,
 )
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.engine import ExecutionMode, QueryOptions
+from repro.kinds import IndexKind
 from repro.reduction import REDUCERS
+from tests.stored_modes import with_stored_mode
 
-#: (reducer name, DistanceMode) -> the suite mode the cascade sees; one
-#: config per cheap-tier formula.
-TIER_CONFIGS = [
-    ("SAPLA", DistanceMode.PAR, "par"),
-    ("SAPLA", DistanceMode.LB, "lb"),
-    ("SAPLA", DistanceMode.AE, "ae"),
-    ("PAA", DistanceMode.PAR, "aligned"),
-    ("CHEBY", DistanceMode.PAR, "triangle"),
+#: (reducer name, stored ``distance_mode``, the tier the cascade runs): one
+#: config per cheap-tier formula, plus SAPLA reopened from homes that
+#: stored Dist_PAR or Dist_AE (see :mod:`tests.stored_modes`), which must
+#: run the Dist_LB tier as well.
+TIERS = [
+    ("SAPLA-par", "SAPLA", "par", "lb"),
+    ("SAPLA-lb", "SAPLA", "lb", "lb"),
+    ("SAPLA-ae", "SAPLA", "ae", "lb"),
+    ("PAA-aligned", "PAA", "lb", "aligned"),
+    ("CHEBY-triangle", "CHEBY", "lb", "triangle"),
 ]
 
-CONFIG_IDS = [f"{name}-{suite_mode}" for name, _, suite_mode in TIER_CONFIGS]
+TIER_CONFIGS = [pytest.param(*config, id=label) for label, *config in TIERS]
 
 
 def dataset(count=20, n=48, seed=0):
@@ -42,10 +46,10 @@ def dataset(count=20, n=48, seed=0):
     return rng.normal(size=(count, n)).cumsum(axis=1)
 
 
-def build(name, mode, data, index=None):
-    db = SeriesDatabase(REDUCERS[name](8), index=index, distance_mode=mode)
+def build(name, data, mode="lb", index=None):
+    db = SeriesDatabase(REDUCERS[name](8), index=index)
     db.ingest(data)
-    return db
+    return with_stored_mode(db, mode)
 
 
 class TestReconstructionNorm:
@@ -69,10 +73,10 @@ class TestReconstructionNorm:
 
 
 class TestDominance:
-    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS)
     def test_cheap_never_exceeds_refine(self, name, mode, suite_mode):
         data = dataset(seed=1)
-        db = build(name, mode, data)
+        db = build(name, data, mode)
         cascade = db.cascade()
         assert cascade.supported
         assert cascade.mode == suite_mode
@@ -85,21 +89,21 @@ class TestDominance:
                 rep = entry.representation
                 assert qc.cheap(rep) <= qc.refine(rep)
 
-    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS)
     def test_refine_equals_suite_bound(self, name, mode, suite_mode):
         """Refinement is the suite's own bound — same value, not an analogue."""
         data = dataset(seed=6)
-        db = build(name, mode, data)
+        db = build(name, data, mode)
         ctx = db.query_context(data[3] - 0.1)
         qc = db.cascade().for_query(ctx)
         for entry in db.entries:
             rep = entry.representation
             assert qc.refine(rep) == db.suite.query_bound(ctx, rep)
 
-    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS)
     def test_vectorised_keys_equal_scalar_cheap(self, name, mode, suite_mode):
         data = dataset(seed=2)
-        db = build(name, mode, data)
+        db = build(name, data, mode)
         cascade = db.cascade()
         ctx = db.query_context(data[5] + 0.5)
         collection = cascade.collection(db)
@@ -115,8 +119,8 @@ class TestDominance:
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(8, 32)).cumsum(axis=1)
         query = rng.normal(size=32).cumsum()
-        for name, mode, _ in TIER_CONFIGS:
-            db = build(name, mode, data)
+        for _, name, mode, _ in TIERS:
+            db = build(name, data, mode)
             ctx = db.query_context(query)
             qc = db.cascade().for_query(ctx)
             for entry in db.entries:
@@ -125,10 +129,10 @@ class TestDominance:
 
 
 class TestPairwiseAccel:
-    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("name,mode,suite_mode", TIER_CONFIGS)
     def test_lower_never_exceeds_pairwise(self, name, mode, suite_mode):
         data = dataset(count=10, seed=5)
-        db = build(name, mode, data)
+        db = build(name, data, mode)
         accel = make_pairwise_accel(db.suite, db.reducer)
         assert accel is not None
         reps = [e.representation for e in db.entries]
@@ -138,8 +142,8 @@ class TestPairwiseAccel:
 
     def test_metric_flag_tracks_reconstruction_modes(self):
         data = dataset(count=6)
-        recon = build("SAPLA", DistanceMode.LB, data)
-        cheby = build("CHEBY", DistanceMode.PAR, data)
+        recon = build("SAPLA", data)
+        cheby = build("CHEBY", data)
         assert make_pairwise_accel(recon.suite, recon.reducer).metric is True
         assert make_pairwise_accel(cheby.suite, cheby.reducer).metric is False
 
@@ -152,7 +156,7 @@ class TestPairwiseAccel:
 class TestUnsupportedModes:
     def test_sax_has_no_cascade(self):
         data = dataset()
-        db = build("SAX", DistanceMode.PAR, data)
+        db = build("SAX", data)
         cascade = db.cascade()
         assert not cascade.supported
         assert cascade.for_query(db.query_context(data[0])) is None
@@ -161,19 +165,20 @@ class TestUnsupportedModes:
 
     def test_sax_searches_still_answer(self):
         data = dataset()
-        db = build("SAX", DistanceMode.PAR, data, index=IndexKind.DBCH)
+        db = build("SAX", data, index=IndexKind.DBCH)
         result = db.knn(data[2] + 0.05, 3)
         assert len(result.ids) == 3
 
 
 class TestAccounting:
     def test_search_emits_cascade_counters(self):
-        # Dist_AE has no columnar store, so the walk's entries take the cascade
+        # the sequential baseline bounds entries one by one: the cascade
         data = dataset(count=40, seed=7)
+        sequential = QueryOptions(k=4, mode=ExecutionMode.SEQUENTIAL)
         with obs.capture() as session:
-            db = build("SAPLA", DistanceMode.AE, data, index=IndexKind.DBCH)
+            db = build("SAPLA", data, index=IndexKind.DBCH)
             for i in range(3):
-                db.knn(data[i] + 0.1, 4)
+                db.knn_batch(data[i : i + 1] + 0.1, sequential)
         counters = session.report().counters
         assert counters["cascade.queries"] == 3
         assert counters["cascade.cheap_bounds"] >= counters["cascade.refines"]
@@ -182,7 +187,7 @@ class TestAccounting:
 
     def test_collection_cache_reused_within_a_generation(self):
         data = dataset()
-        db = build("SAPLA", DistanceMode.PAR, data)
+        db = build("SAPLA", data)
         cascade = db.cascade()
         first = cascade.collection(db)
         assert cascade.collection(db) is first

@@ -1,10 +1,11 @@
 """The columnar store and its one-query-vs-all bounds equal the scalar path.
 
-``suite.query_bound_batch(ctx, suite.stack(reps))`` must be bit-identical to
-``[suite.query_bound(ctx, r) for r in reps]`` for every adaptive reducer in
-the LB and PAR modes — the engine's accounting equivalence rests on it — and
-a store grown by database mutations must equal a fresh stack of the live
-entries.
+``suite.query_bound_batch(ctx, suite.stack(reps))`` (Dist_LB) must be
+bit-identical to ``[suite.query_bound(ctx, r) for r in reps]`` for every
+adaptive reducer — the engine's accounting equivalence rests on it — and so
+must ``suite.pairwise_batch`` (Dist_PAR, the DBCH node keys) to
+``suite.pairwise``; a store grown by database mutations must equal a fresh
+stack of the live entries.
 """
 
 import numpy as np
@@ -16,12 +17,23 @@ from repro.core.linefit import SeriesStats
 from repro.core.segment import LinearSegmentation, Segment
 from repro.distance import QueryContext, SegmentColumns, make_suite
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.lifecycle import compact
 from repro.reduction import REDUCERS
 
 ADAPTIVE = ("SAPLA", "APLA", "APCA")
-MODES = (DistanceMode.LB, DistanceMode.PAR)
+#: the suite's two kernels over a stacked layout: the Dist_LB query bound
+#: and the Dist_PAR pairwise distance
+MODES = ("lb", "par")
+
+
+def batch_and_scalar(suite, mode, ctx, columns, reps):
+    """One kernel's batch values over ``columns`` and its scalar values."""
+    if mode == "lb":
+        scalar = [suite.query_bound(ctx, rep) for rep in reps]
+        return suite.query_bound_batch(ctx, columns), np.array(scalar)
+    scalar = [suite.pairwise(ctx.representation, rep) for rep in reps]
+    return suite.pairwise_batch(ctx.representation, columns), np.array(scalar)
 
 
 def random_layout(rng, n, max_segments):
@@ -53,7 +65,7 @@ def fitted(series, ends):
     return LinearSegmentation(segments)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ADAPTIVE)
 @given(
     seed=st.integers(0, 2**16),
@@ -75,14 +87,13 @@ def test_batch_bound_is_bit_identical_on_ragged_layouts(name, mode, seed, n, row
         ends = reps[int(rng.integers(0, rows))].right_endpoints
         if query_layout == "row_plus_one":
             ends = sorted(set(ends) | {int(rng.integers(0, n))})
-    suite = make_suite(REDUCERS[name](12), mode)
+    suite = make_suite(REDUCERS[name](12))
     ctx = QueryContext(query, representation=fitted(query, ends))
-    batch = suite.query_bound_batch(ctx, suite.stack(reps))
-    scalar = np.array([suite.query_bound(ctx, rep) for rep in reps])
+    batch, scalar = batch_and_scalar(suite, mode, ctx, suite.stack(reps), reps)
     assert np.array_equal(batch, scalar)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ADAPTIVE)
 def test_batch_bound_is_bit_identical_on_reduced_collections(name, mode):
     """Real reductions at mixed budgets (so mixed widths), grown by extend."""
@@ -90,7 +101,7 @@ def test_batch_bound_is_bit_identical_on_reduced_collections(name, mode):
     data = rng.normal(size=(40, 96)).cumsum(axis=1)
     data[7] = 1.5  # a flat row: every reducer fits slopes of exactly zero
     reps = [REDUCERS[name](budget).transform(row) for budget in (6, 12, 18) for row in data]
-    suite = make_suite(REDUCERS[name](12), mode)
+    suite = make_suite(REDUCERS[name](12))
     columns = suite.stack(reps[:50])
     columns.extend(reps[50:90])  # widens: the 18-coefficient rows have more segments
     for rep in reps[90:]:
@@ -98,8 +109,7 @@ def test_batch_bound_is_bit_identical_on_reduced_collections(name, mode):
     assert len(columns) == len(reps)
     for query in (data[3] + 0.05, rng.normal(size=96).cumsum(), data[7]):
         ctx = QueryContext(query, reducer=REDUCERS[name](12))
-        batch = suite.query_bound_batch(ctx, columns)
-        scalar = np.array([suite.query_bound(ctx, rep) for rep in reps])
+        batch, scalar = batch_and_scalar(suite, mode, ctx, columns, reps)
         assert np.array_equal(batch, scalar)
 
 
@@ -107,10 +117,11 @@ def test_batch_bound_rejects_a_query_of_another_length():
     reducer = REDUCERS["SAPLA"](12)
     reps = [reducer.transform(np.arange(32.0))]
     short = np.arange(16.0)
+    suite = make_suite(reducer)
+    ctx = QueryContext(short, reducer=reducer)
     for mode in MODES:
-        suite = make_suite(reducer, mode)
         with pytest.raises(ValueError):
-            suite.query_bound_batch(QueryContext(short, reducer=reducer), suite.stack(reps))
+            batch_and_scalar(suite, mode, ctx, suite.stack(reps), [])
     with pytest.raises(ValueError):
         SegmentColumns(reps).extend([reducer.transform(short)])
 
@@ -156,7 +167,7 @@ def test_store_grown_by_mutations_equals_a_fresh_stack(name, index, ops):
     answers through it equal the sequential scalar path."""
     from repro.engine import ExecutionMode, QueryOptions
 
-    db = SeriesDatabase(REDUCERS[name](9), index=index, distance_mode=DistanceMode.LB)
+    db = SeriesDatabase(REDUCERS[name](9), index=index)
     db.ingest(np.random.default_rng(3).normal(size=(8, LENGTH)).cumsum(axis=1))
     pinned = None
     for op, arg in ops:

@@ -256,15 +256,18 @@ class TestSuite:
         ctx = QueryContext(series=q, representation=reducer.transform(q))
         rep_c = reducer.transform(c)
         true = euclidean(q, c)
-        lb = make_suite(reducer, "lb").query_bound(ctx, rep_c)
-        par = make_suite(reducer, "par").query_bound(ctx, rep_c)
-        ae = make_suite(reducer, "ae").query_bound(ctx, rep_c)
+        suite = make_suite(reducer)
+        lb = suite.query_bound(ctx, rep_c)
+        par = suite.pairwise(ctx.representation, rep_c)
+        ae = dist_ae(q, rep_c)
+        assert suite.mode == "lb" and lb == dist_lb(q, rep_c)  # the one query bound
         assert lb <= true + 1e-9
         assert lb <= par + 1e-6  # tightness ordering
         assert abs(ae - true) < true  # AE approximates closely
 
     def test_unknown_mode_rejected(self):
-        from repro.distance import make_suite
+        from repro.index import SeriesDatabase
 
-        with pytest.raises(ValueError):
-            make_suite(SAPLAReducer(12), "bogus")
+        for mode in ("bogus", "par", "ae"):
+            with pytest.raises(ValueError):
+                SeriesDatabase(SAPLAReducer(12), distance_mode=mode)

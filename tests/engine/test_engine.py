@@ -7,7 +7,7 @@ from repro import obs
 from repro.engine import QueryEngine, QueryOptions
 from repro.engine.states import BLOCK_ROWS
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.reduction import PAA, SAPLAReducer
@@ -102,7 +102,7 @@ class TestMetrics:
             "knn.entries_refined",
             "knn.nodes_visited",
             "knn.heap_pushes",
-            "knn.pruned.dist_par",
+            "knn.pruned.dist_lb",
         ):
             assert batch_counters[name] == single_counters[name]
         assert single.n_verified == batch_counters["knn.entries_refined"]
@@ -112,7 +112,7 @@ class TestDiskRoute:
     def test_disk_backed_database_batches(self, tmp_path):
         data = dataset(count=20)
         db = DiskBackedDatabase(
-            PAA(8), tmp_path / "store.bin", index=None, distance_mode=DistanceMode.PAR
+            PAA(8), tmp_path / "store.bin", index=None
         )
         db.ingest(data)
         batch = db.knn_batch(data[:3], QueryOptions(k=4))
@@ -134,11 +134,10 @@ class TestDiskRoute:
             [data[:16] + rng.normal(0.0, 0.05, (16, 256)), dataset(16, 256, seed=2)]
         )
         disk = DiskBackedDatabase(
-            SAPLAReducer(12), tmp_path / "store.bin", index=None,
-            distance_mode=DistanceMode.LB, page_size=2048,
+            SAPLAReducer(12), tmp_path / "store.bin", index=None, page_size=2048,
         )
         disk.ingest(data)
-        memory = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB)
+        memory = SeriesDatabase(SAPLAReducer(12), index=None)
         memory.ingest(data)
         pages = disk.store.pages_per_series()
         assert pages == 1.0  # 256 float64 points: one page-aligned page per row

@@ -31,7 +31,7 @@ from repro.client import connect
 from repro.continuous import KnnWatch
 from repro.engine import ExecutionMode, QueryOptions
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.lifecycle import DurabilityOptions
 from repro.reduction import SAPLAReducer
 
@@ -58,7 +58,7 @@ def workload():
 
 
 def _database(kind: IndexKind, data: np.ndarray) -> SeriesDatabase:
-    db = SeriesDatabase(SAPLAReducer(COEFFICIENTS), index=kind, distance_mode=DistanceMode.LB)
+    db = SeriesDatabase(SAPLAReducer(COEFFICIENTS), index=kind)
     db.ingest(data, bulk=True)
     return db
 

@@ -3,6 +3,8 @@
 Pins the contract: the enums' string values (what configs, manifests and
 the CLI carry) convert through the enum constructors, unknown values fail
 eagerly, and the enums serialise as their plain string values.
+``DistanceMode`` keeps one member, ``LB``: a database accepts it or ``"lb"``
+and refuses every other value, the retired ``"par"`` and ``"ae"`` included.
 """
 
 import json
@@ -21,11 +23,12 @@ class TestEnums:
         assert IndexKind.DBCH == "dbch"
         assert IndexKind.RTREE == "rtree"
         assert DistanceMode.LB == "lb"
-        assert str(DistanceMode.PAR) == "par"
+        assert str(DistanceMode.LB) == "lb"
+        assert list(DistanceMode) == [DistanceMode.LB]
 
     def test_json_round_trip_as_plain_strings(self):
-        payload = json.dumps({"index": IndexKind.DBCH, "mode": DistanceMode.AE})
-        assert json.loads(payload) == {"index": "dbch", "mode": "ae"}
+        payload = json.dumps({"index": IndexKind.DBCH, "mode": DistanceMode.LB})
+        assert json.loads(payload) == {"index": "dbch", "mode": "lb"}
 
 
 class TestCoercion:
@@ -48,7 +51,7 @@ class TestCoercion:
     @pytest.mark.parametrize("value", ["euclid", "", "PAR "])
     def test_unknown_distance_mode_raises(self, value):
         with pytest.raises(ValueError):
-            make_suite(SAPLAReducer(6), value)
+            SeriesDatabase(SAPLAReducer(6), distance_mode=value)
 
 
 class TestDatabaseSurface:
@@ -64,21 +67,25 @@ class TestDatabaseSurface:
         assert legacy.knn(data[2] + 0.1, 3).ids == typed.knn(data[2] + 0.1, 3).ids
 
     def test_make_suite_validates_mode_eagerly(self):
-        with pytest.raises(ValueError):
-            make_suite(SAPLAReducer(6), "not-a-mode")
+        """The suite has one bound; a retired one is refused where the
+        database is built, never mid-query."""
+        for retired in ("par", "ae", "not-a-mode"):
+            with pytest.raises(ValueError):
+                SeriesDatabase(SAPLAReducer(8), distance_mode=retired)
+        assert make_suite(SAPLAReducer(8)).mode == "lb"
 
     def test_aligned_suites_expose_the_batch_bound(self):
         suite = make_suite(PAA(6))
         assert suite.stack is not None
         assert suite.query_bound_batch is not None
 
-    @pytest.mark.parametrize("mode", [DistanceMode.LB, DistanceMode.PAR])
+    @pytest.mark.parametrize("mode", ["lb", "par"])
     def test_adaptive_suites_expose_the_batch_bound(self, mode):
-        suite = make_suite(SAPLAReducer(6), mode)
+        """Both kernels over the stacked layout: the Dist_LB query bound and
+        the Dist_PAR pairwise distance."""
+        suite = make_suite(SAPLAReducer(6))
         assert suite.stack is not None
-        assert suite.query_bound_batch is not None
-
-    def test_adaptive_ae_suite_keeps_only_the_scalar_bound(self):
-        suite = make_suite(SAPLAReducer(6), DistanceMode.AE)
-        assert suite.stack is None
-        assert suite.query_bound_batch is None
+        if mode == "lb":
+            assert suite.query_bound_batch is not None
+        else:
+            assert suite.pairwise_batch is not None

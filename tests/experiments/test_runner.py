@@ -61,12 +61,12 @@ class TestDeriveBoundRatios:
         with obs.capture():
             obs.count("knn.entries_refined", 25)
             obs.count("knn.pruned.aligned", 50)
-            obs.count("knn.pruned.dist_par", 25)
+            obs.count("knn.pruned.dist_lb", 25)
             report = RunReport.collect()
         ratios = derive_bound_ratios(report)
         assert ratios["verified_ratio"] == 0.25
         assert ratios["pruned_ratio.aligned"] == 0.5
-        assert ratios["pruned_ratio.par"] == 0.25
+        assert ratios["pruned_ratio.lb"] == 0.25
 
     def test_empty_without_counters(self):
         with obs.capture():

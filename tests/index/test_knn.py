@@ -75,7 +75,7 @@ class TestGuarantees:
     def test_filtered_scan_with_guaranteed_lb_is_exact(self):
         """GEMINI with a true lower bound and no tree never misses."""
         data = dataset(count=60, seed=5)
-        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(12), index=None)
         db.ingest(data)
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -88,7 +88,7 @@ class TestGuarantees:
     def test_filtered_scan_prunes(self):
         """The lower bound must actually skip most raw verifications."""
         data = dataset(count=100, seed=7)
-        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(12), index=None)
         db.ingest(data)
         result = db.knn(data[0] + 0.01, 1)
         assert result.pruning_power < 0.8

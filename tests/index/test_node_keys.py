@@ -20,20 +20,23 @@ from repro import obs
 from repro.engine import ExecutionMode, QueryOptions
 from repro.index import SeriesDatabase
 from repro.io import open_database
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.reduction import REDUCERS
 from repro.serving import ShardedEngine
 from repro.storage import DiskBackedDatabase
 from tests.engine.test_equivalence import assert_same_accounting, mid_radius, range_walk
+from tests.stored_modes import STORED_MODES, with_stored_mode
 
 LENGTH = 48
 
-#: every (method, mode) whose suite has a ``pairwise_batch``
+#: every method whose suite has a ``pairwise_batch``; the adaptive ones
+#: as built and reopened from homes that stored each old ``distance_mode``
+#: (see :mod:`tests.stored_modes`)
 CONFIGS = [
-    pytest.param(name, mode, id=f"{name}-{mode.value}")
+    pytest.param(name, mode, id=f"{name}-{mode}")
     for name in ("SAPLA", "APLA", "APCA")
-    for mode in DistanceMode
-] + [pytest.param(name, DistanceMode.PAR, id=name) for name in ("PAA", "PLA", "PAALM")]
+    for mode in STORED_MODES
+] + [pytest.param(name, "lb", id=name) for name in ("PAA", "PLA", "PAALM")]
 
 
 def dataset(count, seed):
@@ -42,9 +45,9 @@ def dataset(count, seed):
 
 
 def build(name, mode, data, bulk=True, db_class=SeriesDatabase, **kwargs):
-    db = db_class(REDUCERS[name](8), index=IndexKind.DBCH, distance_mode=mode, **kwargs)
+    db = db_class(REDUCERS[name](8), index=IndexKind.DBCH, **kwargs)
     db.ingest(data, bulk=bulk)
-    return db
+    return with_stored_mode(db, mode, bulk=bulk)
 
 
 def queries_for(data):
@@ -78,7 +81,7 @@ def test_batch_keys_equal_node_distance(name, mode, bulk):
 
 
 @pytest.mark.parametrize(
-    "name,mode", [("SAPLA", DistanceMode.LB), ("APCA", DistanceMode.PAR), ("PAA", DistanceMode.PAR)]
+    "name,mode", [("SAPLA", "lb"), ("APCA", "par"), ("PAA", "par")]
 )
 def test_keys_follow_splits_and_condenses(name, mode):
     """Each insert and delete drops the stacked hulls; the next query
@@ -110,7 +113,7 @@ def test_keys_follow_splits_and_condenses(name, mode):
 def test_pinned_snapshot_keys_describe_the_pinned_tree():
     data = dataset(50, seed=7)
     queries = queries_for(data)
-    db = build("SAPLA", DistanceMode.LB, data[:30])
+    db = build("SAPLA", "lb", data[:30])
     before = db.knn_batch(queries, QueryOptions(k=4)).results
     view = db.snapshot()
     try:
@@ -136,7 +139,7 @@ def test_concurrent_readers_share_the_hull_store_while_a_writer_inserts():
     data = dataset(38, seed=13)
     base, extra = data[:30], data[30:]
     queries = queries_for(data)
-    db = build("SAPLA", DistanceMode.LB, base)
+    db = build("SAPLA", "lb", base)
     first = db.generation
     seen, errors = [], []
 
@@ -170,7 +173,7 @@ def test_concurrent_readers_share_the_hull_store_while_a_writer_inserts():
     references = {}
     for generation, results in seen:
         if generation not in references:
-            reference = build("SAPLA", DistanceMode.LB, base)
+            reference = build("SAPLA", "lb", base)
             for row in extra[: generation - first]:
                 reference.insert(row)
             references[generation] = reference.knn_batch(
@@ -188,7 +191,7 @@ def assert_matches_sequential(engine, queries, k=5):
         assert a.nodes_visited > 0
 
 
-@pytest.mark.parametrize("name,mode", [("SAPLA", DistanceMode.LB), ("SAPLA", DistanceMode.PAR)])
+@pytest.mark.parametrize("name,mode", [("SAPLA", "lb"), ("SAPLA", "par")])
 def test_two_shard_engine_matches_sequential(name, mode):
     data = dataset(60, seed=9)
     queries = queries_for(data)
@@ -210,7 +213,7 @@ def test_reopened_disk_home_matches_sequential(tmp_path):
     data = dataset(60, seed=11)
     queries = queries_for(data)
     db = build(
-        "SAPLA", DistanceMode.LB, data, db_class=DiskBackedDatabase, store_path=tmp_path / "rows.bin"
+        "SAPLA", "lb", data, db_class=DiskBackedDatabase, store_path=tmp_path / "rows.bin"
     )
     db.save(tmp_path / "home")
     reopened = open_database(tmp_path / "home")

@@ -5,13 +5,13 @@ import pytest
 
 from repro.index import SeriesDatabase
 from repro.io import open_database
-from repro.reduction import CHEBY, PAA, SAX, SAPLAReducer
+from repro.reduction import APCA, APLA, CHEBY, PAA, SAX, SAPLAReducer
 
 DATA = np.random.default_rng(0).normal(size=(30, 64)).cumsum(axis=1)
 
 
 @pytest.mark.parametrize(
-    "reducer_cls", [SAPLAReducer, PAA, CHEBY, SAX], ids=lambda c: c.name
+    "reducer_cls", [SAPLAReducer, APLA, APCA, PAA, CHEBY, SAX], ids=lambda c: c.name
 )
 @pytest.mark.parametrize("index_kind", ["dbch", "rtree", None])
 def test_round_trip_preserves_search(tmp_path, reducer_cls, index_kind):
@@ -32,13 +32,13 @@ def test_round_trip_preserves_search(tmp_path, reducer_cls, index_kind):
 def test_config_contents(tmp_path):
     import json
 
-    db = SeriesDatabase(SAPLAReducer(18), index="dbch", distance_mode="lb")
+    db = SeriesDatabase(SAPLAReducer(18), index="dbch")
     db.ingest(DATA)
     db.save(tmp_path / "db")
     config = json.loads((tmp_path / "db" / "config.json").read_text())
     assert config["reducer"] == "SAPLA"
     assert config["n_coefficients"] == 18
-    assert config["distance_mode"] == "lb"
+    assert "distance_mode" not in config  # Dist_LB is the only adaptive bound
     loaded = open_database(tmp_path / "db")
     assert loaded.suite.mode == "lb"
 

@@ -13,7 +13,7 @@ import pytest
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.io import open_database
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 from repro.storage import DiskBackedDatabase
 
@@ -27,7 +27,7 @@ class TestUnifiedRoundTrip:
     def test_memory_database_save_and_open(self, tmp_path):
         data = dataset()
         db = SeriesDatabase(
-            SAPLAReducer(6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
+            SAPLAReducer(6), index=IndexKind.DBCH
         )
         db.ingest(data)
         db.save(tmp_path / "db")

@@ -19,7 +19,7 @@ from repro.index import SeriesDatabase
 from repro.index.dbch import DBCHTree
 from repro.index.rtree import RTree
 from repro.io import open_database
-from repro.kinds import DistanceMode, IndexKind, suite_distance_mode
+from repro.kinds import IndexKind
 from repro.lifecycle import DurabilityOptions
 from repro.reduction import REDUCERS
 from repro.storage import DiskBackedDatabase
@@ -51,7 +51,6 @@ def packed_reference(db):
     reference = SeriesDatabase(
         REDUCERS[db.reducer.name](db.reducer.n_coefficients),
         index=db.index_kind,
-        distance_mode=suite_distance_mode(db.suite.mode),
         max_entries=db.max_entries,
         min_entries=db.min_entries,
     )
@@ -94,10 +93,10 @@ def saved_home(tmp_path, kind, reducer_name, index, tombstones):
     reducer = REDUCERS[reducer_name](6)
     if kind == "disk":
         db = DiskBackedDatabase(
-            reducer, tmp_path / "live.bin", index=index, distance_mode=DistanceMode.LB
+            reducer, tmp_path / "live.bin", index=index
         )
     else:
-        db = SeriesDatabase(reducer, index=index, distance_mode=DistanceMode.LB)
+        db = SeriesDatabase(reducer, index=index)
     db.ingest(rng.normal(size=(BASE_ROWS, LENGTH)).cumsum(axis=1))
     if tombstones:
         db.delete(3)
@@ -181,7 +180,7 @@ class TestReopenPacksOnce:
 @pytest.mark.parametrize("name,index", CONFIGS)
 def test_a_full_packed_leaf_splits_on_its_first_insert(tmp_path, name, index):
     rng = np.random.default_rng(5)
-    db = SeriesDatabase(REDUCERS[name](6), index=index, distance_mode=DistanceMode.LB)
+    db = SeriesDatabase(REDUCERS[name](6), index=index)
     db.ingest(rng.normal(size=(20, LENGTH)).cumsum(axis=1))  # packs four leaves of five
     db.save(tmp_path / "home")
     reopened = open_database(tmp_path / "home")
@@ -196,7 +195,7 @@ def test_a_full_packed_leaf_splits_on_its_first_insert(tmp_path, name, index):
 def test_a_home_without_a_wal_reopens_packed(tmp_path):
     data = np.random.default_rng(8).normal(size=(30, LENGTH)).cumsum(axis=1)
     db = SeriesDatabase(
-        REDUCERS["SAPLA"](6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
+        REDUCERS["SAPLA"](6), index=IndexKind.DBCH
     )
     db.ingest(data)  # the writer grows its tree by insertion
     db.save(tmp_path / "home")

@@ -13,7 +13,7 @@ import pytest
 from repro.engine.states import gather_rows
 from repro.index import SeriesDatabase
 from repro.io import open_database
-from repro.kinds import DistanceMode, IndexKind, suite_distance_mode
+from repro.kinds import IndexKind
 from repro.lifecycle import DurabilityOptions, compact
 from repro.reduction import REDUCERS
 from repro.storage import DiskBackedDatabase
@@ -32,10 +32,10 @@ def churned(tmp_path, kind, name, index):
     reducer = REDUCERS[name](6)
     if kind == "disk":
         db = DiskBackedDatabase(
-            reducer, tmp_path / "live.bin", index=index, distance_mode=DistanceMode.LB
+            reducer, tmp_path / "live.bin", index=index
         )
     else:
-        db = SeriesDatabase(reducer, index=index, distance_mode=DistanceMode.LB)
+        db = SeriesDatabase(reducer, index=index)
     db.ingest(rng.normal(size=(30, LENGTH)).cumsum(axis=1))
     for series_id in (2, 9, 17):
         db.delete(series_id)
@@ -53,7 +53,6 @@ def survivors_bulk_built(db):
     reference = SeriesDatabase(
         REDUCERS[db.reducer.name](db.reducer.n_coefficients),
         index=db.index_kind,
-        distance_mode=suite_distance_mode(db.suite.mode),
         max_entries=db.max_entries,
         min_entries=db.min_entries,
     )
@@ -96,7 +95,7 @@ class TestCompactionPacks:
 def test_compacting_an_unsaved_database_packs_in_place():
     rng = np.random.default_rng(6)
     db = SeriesDatabase(
-        REDUCERS["SAPLA"](6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
+        REDUCERS["SAPLA"](6), index=IndexKind.DBCH
     )
     db.ingest(rng.normal(size=(26, LENGTH)).cumsum(axis=1))  # grown by insertion
     for series_id in (1, 8, 13, 20):

@@ -39,7 +39,7 @@ class TestKNNInstrumentation:
         assert report.counters["knn.queries"] == 3
         assert report.counters["knn.nodes_visited"] > 0
         assert report.counters["knn.entries_refined"] > 0
-        assert report.counters["knn.pruned.dist_par"] > 0
+        assert report.counters["knn.pruned.dist_lb"] > 0
         assert report.counters["knn.heap_pushes"] > 0
         assert report.counters["dbch.inserts"] == len(data)
         assert report.counters["sapla.transforms"] >= len(data)
@@ -69,7 +69,7 @@ class TestKNNInstrumentation:
         assert counters["rtree.inserts"] == len(data)
         assert counters["rtree.mbr_recomputations"] > 0
         with obs.capture() as session:
-            db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+            db = SeriesDatabase(SAPLAReducer(12), index=None)
             db.ingest(data)
             db.knn(data[0] + 0.2, 3)
         counters = session.report().counters

@@ -113,7 +113,7 @@ class TestSearchInvariants:
     def test_exact_scan_never_misses(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(20, 32)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(9), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(9), index=None)
         db.ingest(data)
         query = data[int(rng.integers(20))] + rng.normal(scale=0.1, size=32)
         got = db.knn(query, 3)

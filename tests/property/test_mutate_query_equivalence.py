@@ -4,7 +4,7 @@ For any sequence of mutations, the surviving series must answer queries
 exactly as if a new database had been built from just those series — ids
 mapped through the survivors' rank order, distances bit-identical.  Runs
 across reducer x index kind; the configurations all use guaranteed lower
-bounds (PAA aligned, SAPLA with ``DistanceMode.LB``) so answers are exact
+bounds (PAA aligned, SAPLA with Dist_LB) so answers are exact
 and independent of tree shape.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 
 LENGTH = 32
@@ -28,7 +28,7 @@ CONFIGS = [
     (
         "sapla-lb-dbch",
         lambda: SeriesDatabase(
-            SAPLAReducer(8), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
+            SAPLAReducer(8), index=IndexKind.DBCH
         ),
     ),
 ]

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode
 from repro.reduction import PAA
 from repro.serving import ShardedEngine
 
@@ -51,7 +50,7 @@ CHILD_SCRIPT = textwrap.dedent(
 
 def seed_home(tmp_path):
     rng = np.random.default_rng(0)
-    db = SeriesDatabase(PAA(8), index=None, distance_mode=DistanceMode.PAR)
+    db = SeriesDatabase(PAA(8), index=None)
     db.ingest(rng.normal(size=(SEED_ROWS, LENGTH)))
     home = tmp_path / "home"
     ShardedEngine.from_database(db, N_SHARDS).save(home)
@@ -106,7 +105,7 @@ def test_sigkill_mid_ingest_loses_nothing_acknowledged(tmp_path, kill_after):
             for g in range(count)
         ]
     )
-    clean = SeriesDatabase(PAA(8), index=None, distance_mode=DistanceMode.PAR)
+    clean = SeriesDatabase(PAA(8), index=None)
     clean.ingest(rows)
     rng = np.random.default_rng(99)
     queries = rng.normal(size=(5, LENGTH))

@@ -14,7 +14,7 @@ from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
 from repro.index.dbch import DBCHTree
 from repro.io import open_database
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.lifecycle import DurabilityOptions, FsyncPolicy
 from repro.reduction import REDUCERS
 from repro.serving import ShardedEngine, partition_database
@@ -31,7 +31,7 @@ N_SHARDS = 3
 def source(count=31, seed=0):
     rng = np.random.default_rng(seed)
     db = SeriesDatabase(
-        REDUCERS["SAPLA"](6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
+        REDUCERS["SAPLA"](6), index=IndexKind.DBCH
     )
     db.ingest(rng.normal(size=(count, LENGTH)).cumsum(axis=1))
     return db

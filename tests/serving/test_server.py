@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode
 from repro.reduction import PAA
 from repro.serving import (
     FrameError,
@@ -32,7 +31,7 @@ LENGTH = 32
 @pytest.fixture(scope="module")
 def db():
     rng = np.random.default_rng(0)
-    database = SeriesDatabase(PAA(8), index=None, distance_mode=DistanceMode.PAR)
+    database = SeriesDatabase(PAA(8), index=None)
     database.ingest(rng.normal(size=(30, LENGTH)).cumsum(axis=1))
     return database
 

@@ -16,23 +16,25 @@ from hypothesis import strategies as st
 
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
-from repro.kinds import DistanceMode, IndexKind
+from repro.kinds import IndexKind
 from repro.lifecycle import DurabilityOptions, FsyncPolicy
 from repro.reduction import REDUCERS
 from repro.serving import MANIFEST_FILENAME, ShardedEngine, partition_database
+from tests.stored_modes import with_stored_mode
 
-#: (reducer, mode) pairs whose bound is a guaranteed lower bound — each
-#: shard's top-k is exact over its rows, so the merge must be exact too
-#: (mirrors tests/engine/test_equivalence.py)
+#: (reducer, stored ``distance_mode``): every query bound is a guaranteed
+#: lower bound — each shard's top-k is exact over its rows, so the merge must
+#: be exact too (mirrors tests/engine/test_equivalence.py; see
+#: :mod:`tests.stored_modes` for the stored value)
 EXACT_CONFIGS = [
-    ("SAPLA", DistanceMode.LB),
-    ("APLA", DistanceMode.LB),
-    ("APCA", DistanceMode.LB),
-    ("PLA", DistanceMode.PAR),
-    ("PAA", DistanceMode.PAR),
-    ("PAALM", DistanceMode.PAR),
-    ("CHEBY", DistanceMode.PAR),
-    ("SAX", DistanceMode.PAR),
+    ("SAPLA", "lb"),
+    ("APLA", "lb"),
+    ("APCA", "lb"),
+    ("PLA", "par"),
+    ("PAA", "par"),
+    ("PAALM", "par"),
+    ("CHEBY", "par"),
+    ("SAX", "par"),
 ]
 
 SHARD_COUNTS = [1, 2, 4, 7]
@@ -43,10 +45,10 @@ def dataset(count=22, n=48, seed=0):
     return rng.normal(size=(count, n)).cumsum(axis=1)
 
 
-def build(name, index, mode, data):
-    db = SeriesDatabase(REDUCERS[name](8), index=index, distance_mode=mode)
+def build(name, index, data, mode="lb"):
+    db = SeriesDatabase(REDUCERS[name](8), index=index)
     db.ingest(data)
-    return db
+    return with_stored_mode(db, mode)
 
 
 def queries_for(data, seed=1, q=3):
@@ -77,7 +79,7 @@ class TestBitIdentity:
     ):
         name, mode = config
         data = dataset(seed=seed)
-        db = build(name, index, mode, data)
+        db = build(name, index, data, mode)
         engine = ShardedEngine.from_database(db, n_shards)
         options = QueryOptions(k=k, cascade=cascade)
         queries = queries_for(data, seed=seed + 1)
@@ -89,7 +91,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n_shards", [2, 5])
     def test_every_exact_config(self, name, mode, n_shards):
         data = dataset()
-        db = build(name, None, mode, data)
+        db = build(name, None, data, mode)
         engine = ShardedEngine.from_database(db, n_shards)
         options = QueryOptions(k=7)
         queries = queries_for(data)
@@ -102,7 +104,7 @@ class TestBitIdentity:
         # by global id exactly like the single engine does
         base = dataset(count=6)
         data = np.vstack([base, base, base])
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, 4)
         options = QueryOptions(k=9)
         assert_batches_identical(
@@ -111,7 +113,7 @@ class TestBitIdentity:
 
     def test_range_query_matches_single_engine(self):
         data = dataset()
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, 3)
         query = data[4]
         radius = float(np.linalg.norm(data[4] - data[9])) + 1e-9
@@ -121,7 +123,7 @@ class TestBitIdentity:
         assert a.distances == b.distances
 
     def test_generation_is_per_shard_tuple(self):
-        db = build("PAA", None, DistanceMode.PAR, dataset())
+        db = build("PAA", None, dataset())
         engine = ShardedEngine.from_database(db, 3)
         batch = engine.knn_batch(dataset()[:2], QueryOptions(k=2))
         assert batch.generation == engine.generation
@@ -130,7 +132,7 @@ class TestBitIdentity:
 
 class TestPartitionAndMutation:
     def test_round_robin_placement(self):
-        db = build("PAA", None, DistanceMode.PAR, dataset(count=10))
+        db = build("PAA", None, dataset(count=10))
         shards = partition_database(db, 3)
         assert [s.count for s in shards] == [4, 3, 3]
         for s, shard in enumerate(shards):
@@ -139,7 +141,7 @@ class TestPartitionAndMutation:
 
     def test_tombstones_carry_over(self):
         data = dataset(count=10)
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         db.delete(4)
         db.delete(7)
         engine = ShardedEngine.from_database(db, 3)
@@ -153,7 +155,7 @@ class TestPartitionAndMutation:
     def test_insert_routes_and_stays_identical(self):
         data = dataset(count=9)
         extra = dataset(count=4, seed=5)
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, 3)
         for row in extra:
             gid_single = db.insert(row)
@@ -167,7 +169,7 @@ class TestPartitionAndMutation:
 
     def test_delete_global_id(self):
         data = dataset(count=9)
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, 2)
         assert engine.delete(5)
         assert not engine.delete(5)  # already tombstoned
@@ -180,7 +182,7 @@ class TestPartitionAndMutation:
 
     def test_rejects_non_prefix_shards(self):
         data = dataset(count=9)
-        shards = partition_database(build("PAA", None, DistanceMode.PAR, data), 3)
+        shards = partition_database(build("PAA", None, data), 3)
         shards[2].insert(data[0])  # shard 2 gets ahead of shard 1
         with pytest.raises(ValueError, match="round-robin prefix"):
             ShardedEngine(shards)
@@ -192,7 +194,7 @@ class TestPersistence:
 
     def seeded_home(self, tmp_path, n_shards=3, count=10):
         data = dataset(count=count)
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, n_shards)
         home = tmp_path / "home"
         engine.save(home)
@@ -204,7 +206,7 @@ class TestPersistence:
         reopened = ShardedEngine.open(home)
         assert reopened.n_shards == 3
         assert reopened.count == 10
-        reference = build("PAA", None, DistanceMode.PAR, data)
+        reference = build("PAA", None, data)
         assert_batches_identical(
             reference.knn_batch(data[:3], QueryOptions(k=5)),
             reopened.knn_batch(data[:3], QueryOptions(k=5)),
@@ -222,7 +224,7 @@ class TestPersistence:
         recovered = ShardedEngine.open(home)
         assert recovered.count == 15
         assert len(recovered) == 14
-        reference = build("PAA", None, DistanceMode.PAR, np.vstack([data, extra]))
+        reference = build("PAA", None, np.vstack([data, extra]))
         reference.delete(3)
         assert_batches_identical(
             reference.knn_batch(extra, QueryOptions(k=6)),
@@ -255,7 +257,7 @@ class TestPersistence:
         recovered = ShardedEngine.open(home)
         assert recovered.count == 10
         assert [s.count for s in recovered.shards] == [4, 3, 3]
-        reference = build("PAA", None, DistanceMode.PAR, data)
+        reference = build("PAA", None, data)
         assert_batches_identical(
             reference.knn_batch(data[:3], QueryOptions(k=5)),
             recovered.knn_batch(data[:3], QueryOptions(k=5)),
@@ -266,7 +268,7 @@ class TestPersistence:
 
     def test_parallel_scatter_identical(self, tmp_path):
         data = dataset(count=20)
-        db = build("PAA", None, DistanceMode.PAR, data)
+        db = build("PAA", None, data)
         engine = ShardedEngine.from_database(db, 4, parallel=True)
         try:
             assert_batches_identical(

@@ -81,7 +81,7 @@ class TestDiskBackedDatabase:
 
     def test_io_tracks_verifications(self, tmp_path):
         disk = DiskBackedDatabase(
-            SAPLAReducer(12), tmp_path / "db.bin", index=None, distance_mode="lb"
+            SAPLAReducer(12), tmp_path / "db.bin", index=None
         )
         disk.ingest(DATA)
         disk.reset_io()
