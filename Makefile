@@ -23,10 +23,11 @@ verify-engine:
 	pytest benchmarks/bench_batch_knn.py --benchmark-only -q
 
 # durability layer: lint + WAL/recovery/maintenance/snapshot tests +
-# the mutate-vs-fresh equivalence property + a short crash matrix
+# the mutate-vs-fresh equivalence property + the committed home corpus +
+# a short crash matrix
 verify-lifecycle:
 	python scripts/check_metric_names.py
-	PYTHONPATH=src pytest tests/lifecycle tests/property/test_mutate_query_equivalence.py -q
+	PYTHONPATH=src pytest tests/lifecycle tests/property/test_mutate_query_equivalence.py tests/io/test_homes.py -q
 	python scripts/crash_matrix.py --kills 3 --series 300
 
 # SIGKILL an ingesting subprocess at random points; recovery must lose nothing

@@ -1,8 +1,10 @@
-"""Ablation — DBCH-tree query bound: Dist_PAR vs Dist_LB (DESIGN.md).
+"""Ablation — SAPLA query bound: Dist_PAR vs Dist_LB (DESIGN.md).
 
 The paper argues the DBCH-tree depends on the tightness of its distance
-measure; steering candidate filtering with the looser Dist_LB should verify
-at least as many raw series (worse pruning power) while keeping accuracy.
+measure; filtering with the looser Dist_LB should verify at least as many
+raw series (worse pruning power) while keeping accuracy.  Dist_LB is the
+database's own bound (DBCH-tree); the as-published Dist_PAR, which is not a
+lower bound, is measured by a filter-and-refine scan (``dist_par_scan``).
 """
 
 import numpy as np

@@ -627,7 +627,7 @@ def _run_experiment(args, config: ExperimentConfig) -> int:
     elif which == "ablation-bounds":
         print_table("Ablation — SAPLA bound modes", run_bound_ablation(config))
     elif which == "ablation-dbch":
-        print_table("Ablation — DBCH query bound", run_dbch_ablation(config))
+        print_table("Ablation — SAPLA query bound", run_dbch_ablation(config))
     return 0
 
 
