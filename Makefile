@@ -10,25 +10,38 @@ install:
 test:
 	pytest tests/
 
+# run benchmarks/specs/$(1).toml into a scratch store, then diff it against
+# the committed BENCH_$(1).json: exits non-zero on any violated gate
+define run-spec
+	rm -f /tmp/repro-verify-$(1).sqlite /tmp/BENCH_$(1).json
+	PYTHONPATH=src python -m repro experiment run benchmarks/specs/$(1).toml \
+		--store /tmp/repro-verify-$(1).sqlite --bench-dir /tmp
+	PYTHONPATH=src python -m repro experiment diff benchmarks/specs/$(1).toml \
+		--store /tmp/repro-verify-$(1).sqlite --baseline BENCH_$(1).json
+endef
+
 # observability layer: marker-selected tests + the metric-name lint
 verify-obs:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/ -m obs -q
 
-# batched query engine: its tests + a small-N batch-knn smoke benchmark
+# batched query engine: its tests, then the batch_knn spec (a batch of 64 on
+# the PAA scan and the SAPLA-12 DBCH-tree; batched answers bit-identical to
+# the sequential loop, speedup >= 3x on the scan)
 verify-engine:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/engine -q
-	PYTHONPATH=src REPRO_SERIES=64 REPRO_QUERIES=16 REPRO_LENGTH=64 \
-	pytest benchmarks/bench_batch_knn.py --benchmark-only -q
+	$(call run-spec,batch_knn)
 
 # durability layer: lint + WAL/recovery/maintenance/snapshot tests +
 # the mutate-vs-fresh equivalence property + the committed home corpus +
-# a short crash matrix
+# a short crash matrix, then the ingest spec (every fsync policy; a WAL
+# that logs more or less than it did fails)
 verify-lifecycle:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/lifecycle tests/property/test_mutate_query_equivalence.py tests/io/test_homes.py -q
 	python scripts/crash_matrix.py --kills 3 --series 300
+	$(call run-spec,ingest)
 
 # SIGKILL an ingesting subprocess at random points; recovery must lose nothing
 crash-matrix:
@@ -57,34 +70,25 @@ verify-cascade:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/distance/test_cascade.py tests/storage/test_columns.py \
 		tests/engine/test_equivalence.py tests/engine/test_golden_counters.py -q
-	rm -f /tmp/repro-verify-cascade.sqlite /tmp/BENCH_medium.json
-	PYTHONPATH=src python -m repro experiment run benchmarks/specs/medium.toml \
-		--store /tmp/repro-verify-cascade.sqlite --bench-dir /tmp
-	PYTHONPATH=src python -m repro experiment diff benchmarks/specs/medium.toml \
-		--store /tmp/repro-verify-cascade.sqlite --baseline BENCH_medium.json
+	$(call run-spec,medium)
 
 # sharded serving layer + client facade: lint + the sharding/server/client
-# tests, then the loopback load test (>= 1000 concurrent in-flight queries,
-# answers bit-identical to the unsharded engine) with its latency report
-# rendered through repro stats
+# tests, then the serving spec (1,200 pipelined queries over 4 shards:
+# >= 1000 concurrent in-flight, answers bit-identical to the unsharded engine)
 verify-serving:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/serving tests/client -q
-	PYTHONPATH=src python scripts/serve_loadtest.py --report /tmp/repro-serve-loadtest.json
-	PYTHONPATH=src python -m repro stats --report /tmp/repro-serve-loadtest.json
+	$(call run-spec,serving)
 
 # continuous-query subsystem: lint + its tests (and the record-file tests
-# its subscription log shares with the WAL), then the subscription load
-# test (>= 100 standing subscriptions over streaming ingest, pushed
-# frontiers bit-identical to scratch re-runs) whose insert-to-notify
-# latency report is rendered through repro stats
+# its subscription log shares with the WAL), then the continuous spec
+# (>= 100 live k-NN and range subscriptions over streamed inserts and
+# deletes, both phases pushing deltas, final frontiers bit-identical to
+# scratch re-runs)
 verify-continuous:
 	python scripts/check_metric_names.py
 	PYTHONPATH=src pytest tests/continuous tests/lifecycle/test_recordfile.py -q
-	PYTHONPATH=src python scripts/continuous_loadtest.py \
-		--report /tmp/repro-continuous-loadtest.report.json
-	PYTHONPATH=src python -m repro stats \
-		--report /tmp/repro-continuous-loadtest.report.json
+	$(call run-spec,continuous)
 
 # batched write side: lint + the transform_batch bit-identity grid (with the
 # lock-step SAPLA kernel's perf-shaped 516 x 256 case) and the core
@@ -107,10 +111,13 @@ verify-perf:
 verify: verify-obs verify-engine verify-lifecycle verify-experiments \
 	verify-cascade verify-serving verify-continuous verify-reduction verify-perf
 
-# regenerate the committed perf baseline: BENCH_medium.json at the repo root
+# regenerate the committed baselines: every BENCH_<spec>.json at the repo root
+# (after BENCH_serving.json, recompute serving.toml's inflight_peak limit)
 baseline:
-	PYTHONPATH=src python -m repro experiment run benchmarks/specs/medium.toml \
-		--store benchmarks/results/experiments.sqlite --bench-dir .
+	for spec in medium batch_knn ingest serving continuous; do \
+		PYTHONPATH=src python -m repro experiment run benchmarks/specs/$$spec.toml \
+			--store benchmarks/results/experiments.sqlite --bench-dir . || exit 1; \
+	done
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -12,23 +12,20 @@ fixture and drops a machine-readable ``<name>.report.json``
 (:class:`repro.obs.RunReport`) next to its table — pass ``--no-report``
 to skip the JSON artifacts.
 
-Benches migrated onto the experiment service run their measurement core
-through :mod:`repro.experiments.workloads` and publish each trial with the
-:func:`publish_trial` fixture; setting ``REPRO_EXPERIMENT_STORE=<path>``
-additionally records those trials into that sqlite results store.
+The batch, ingest, serving and continuous workloads are not benches here:
+they are ``repro.experiments`` workload families, run and gated by the
+committed specs under ``benchmarks/specs/`` (``repro experiment run``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import pathlib
 
 import pytest
 
 from repro import obs
 from repro.bench import config_from_env, render_table, run_index_grid
-from repro.experiments import record_bench_trial
 from repro.obs import RunReport
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -95,26 +92,6 @@ def bench_report(request):
             publish_report(name, session.report(meta={"bench": name, **meta}))
 
     return _capture
-
-
-@pytest.fixture
-def publish_trial(request):
-    """Publish one experiment-service trial from a bench.
-
-    Writes the trial's RunReport as ``<name>.report.json`` (unless
-    ``--no-report``) and, when ``REPRO_EXPERIMENT_STORE`` names a sqlite
-    path, records the trial there via
-    :func:`repro.experiments.record_bench_trial`.
-    """
-
-    def _publish(name, trial, report, derived, elapsed_s: float = 0.0):
-        if request.config.getoption("emit_reports"):
-            publish_report(name, report)
-        store_path = os.environ.get("REPRO_EXPERIMENT_STORE")
-        if store_path:
-            record_bench_trial(store_path, name, trial, report, derived, elapsed_s)
-
-    return _publish
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,8 @@
 Speaks the length-prefixed JSON frame protocol of
 :mod:`repro.serving.protocol` over one socket.  The client is synchronous
 and issues one request at a time (the server supports pipelining; the
-asyncio load-test harness in ``scripts/serve_loadtest.py`` exercises that
-path); responses are matched by the echoed request id.
+``serving`` workload of :mod:`repro.experiments` exercises that path);
+responses are matched by the echoed request id.
 
 Unsolicited ``notify`` push frames — standing-subscription deltas — may
 arrive interleaved with responses at any time, so every frame read first

@@ -37,12 +37,7 @@ from .spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from .store import (
-    STORE_SCHEMA_VERSION,
-    ResultsStore,
-    environment_facts,
-    record_bench_trial,
-)
+from .store import STORE_SCHEMA_VERSION, ResultsStore, environment_facts
 from .workloads import WORKLOADS, make_trial_data, run_workload, supports
 
 __all__ = [
@@ -68,7 +63,6 @@ __all__ = [
     "load_bench",
     "load_spec",
     "make_trial_data",
-    "record_bench_trial",
     "run_experiment",
     "run_trial",
     "run_workload",

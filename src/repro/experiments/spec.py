@@ -53,13 +53,15 @@ class ScaleSpec:
     length: int = 128
     n_series: int = 256
     n_queries: int = 16
-    #: rows streamed by the ``ingest`` workload (0 = half of ``n_series``)
+    #: rows streamed by the ``ingest`` and ``continuous`` workloads
+    #: (0 = derived: half of ``n_series``, at least 32); ``continuous``
+    #: deletes every 8th of them again
     n_inserts: int = 0
     #: concurrent in-flight requests driven by the ``serving`` workload's
     #: loopback load (0 = derived: ``max(4 * n_queries, 64)``)
     n_inflight: int = 0
-    #: standing k-NN subscriptions registered by the ``continuous``
-    #: workload (0 = derived: ``max(n_queries, 8)``)
+    #: standing subscriptions registered by the ``continuous`` workload,
+    #: every 4th a range watch (0 = derived: ``max(n_queries, 8)``)
     n_subscriptions: int = 0
 
     def __post_init__(self):
@@ -94,9 +96,9 @@ class EngineSpec:
     ``fsync`` takes the :class:`repro.lifecycle.FsyncPolicy` values plus
     ``"off"`` (no WAL at all); only the ``ingest`` workload reads it.
     ``shards`` is the :class:`repro.serving.ShardedEngine` shard count; only
-    the ``serving`` workload reads it (like ``fsync``, it still appears in
-    every cell label when non-default — the label describes the spec'd
-    options, not which family consumes each one).
+    the ``serving`` and ``continuous`` workloads read it (like ``fsync``, it
+    still appears in every cell label when non-default — the label
+    describes the spec'd options, not which family consumes each one).
     """
 
     k: int = 8

@@ -34,7 +34,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "ResultsStore",
     "environment_facts",
-    "record_bench_trial",
 ]
 
 #: bump when a table or column changes meaning; recorded in every store
@@ -281,37 +280,4 @@ class ResultsStore:
                 (experiment_id,),
             )
         }
-
-
-def record_bench_trial(
-    path: PathLike,
-    bench: str,
-    trial: TrialSpec,
-    report: RunReport,
-    derived: "Dict[str, float]",
-    elapsed_s: float = 0.0,
-) -> int:
-    """Record one ad-hoc benchmark trial into the store at ``path``.
-
-    The committed ``bench_*.py`` scripts call this (through the benchmarks'
-    ``publish_trial`` fixture) so a standalone bench run lands in the same
-    queryable trajectory as a full ``repro experiment run``.  Each call opens
-    a single-cell experiment named ``bench-<bench>`` wrapping the trial's
-    own axes, so report/diff tooling sees it like any other experiment.
-    """
-    spec = ExperimentSpec(
-        name=f"bench-{bench}",
-        seed=trial.seed,
-        workloads=(trial.workload,),
-        scales=(trial.scale,),
-        reducers=(trial.reducer,),
-        indexes=(trial.index_kind,),
-        engines=(trial.engine,),
-    )
-    with ResultsStore(path) as store:
-        experiment_id = store.create_experiment(spec)
-        return store.record_trial(
-            experiment_id, trial, report, derived, elapsed_s=elapsed_s
-        )
-
 

@@ -1,15 +1,14 @@
-"""Workload-family implementations shared by the runner and the benchmarks.
+"""Workload-family implementations: what one experiment trial runs.
 
 Each family is one function from a :class:`repro.experiments.TrialSpec` to a
 flat ``{metric_name: float}`` dict of derived measurements.  The functions
 are deliberately observation-free of side effects: the *caller* (the
-experiment runner, or a benchmark) owns the obs capture around the call, so
-the same measurement code produces both the derived metrics and the
-RunReport counters/spans a trial row stores.
+experiment runner) owns the obs capture around the call, so the same
+measurement code produces both the derived metrics and the RunReport
+counters/spans a trial row stores.
 
-Inputs are synthetic random walks generated from the trial seed, matching
-the committed benchmark scripts — same seed, same data, bit-identical
-workload from one run to the next.
+Inputs are synthetic random walks generated from the trial seed — same
+seed, same data, bit-identical workload from one run to the next.
 """
 
 from __future__ import annotations
@@ -39,10 +38,13 @@ def make_trial_data(trial: TrialSpec) -> "tuple[np.ndarray, np.ndarray]":
     return data, queries
 
 
-def _database(trial: TrialSpec) -> SeriesDatabase:
+def _database(trial: TrialSpec, data: np.ndarray) -> SeriesDatabase:
+    """The trial's database over ``data``, its tree packed bottom-up."""
     reducer = REDUCERS[trial.reducer.method](n_coefficients=trial.reducer.coefficients)
     index = None if trial.index_kind is IndexKind.NONE else trial.index_kind
-    return SeriesDatabase(reducer, index=index)
+    db = SeriesDatabase(reducer, index=index)
+    db.ingest(data, bulk=True)
+    return db
 
 
 def _percentiles(values: "List[float]") -> "Dict[str, float]":
@@ -68,9 +70,8 @@ def run_batch_knn(trial: TrialSpec) -> "Dict[str, float]":
     """
     engine = trial.engine
     data, queries = make_trial_data(trial)
-    db = _database(trial)
     started = time.perf_counter()
-    db.ingest(data, bulk=db.tree is not None)
+    db = _database(trial, data)
     ingest_s = time.perf_counter() - started
 
     options = QueryOptions(k=engine.k, mode=engine.mode, lookahead=engine.lookahead)
@@ -132,9 +133,7 @@ def run_ingest(trial: TrialSpec) -> "Dict[str, float]":
         )
 
     with tempfile.TemporaryDirectory(prefix="repro-exp-ingest-") as home:
-        db = _database(trial)
-        db.ingest(data)
-        db.save(home)
+        _database(trial, data).save(home)
         db = open_database(home, durability=durability)
         per_insert_ms: "List[float]" = []
         started = time.perf_counter()
@@ -168,8 +167,7 @@ def run_pruning(trial: TrialSpec) -> "Dict[str, float]":
     captured obs counters, not from here.
     """
     data, queries = make_trial_data(trial)
-    db = _database(trial)
-    db.ingest(data, bulk=db.tree is not None)
+    db = _database(trial, data)
     k = trial.engine.k
     powers, accuracies, times_ms = [], [], []
     for query in queries:
@@ -188,8 +186,34 @@ def run_pruning(trial: TrialSpec) -> "Dict[str, float]":
 
 
 # ----------------------------------------------------------------------
-# serving: sharded TCP scatter-gather under concurrent pipelined load
+# serving + continuous: a loopback server under pipelined TCP load
 # ----------------------------------------------------------------------
+def _frontier(result) -> "tuple[List[int], List[float]]":
+    """A result's (ids, distances) as the wire carries them."""
+    return [int(i) for i in result.ids], [float(d) for d in result.distances]
+
+
+def _serve(engine, config, drive) -> "tuple[object, int]":
+    """Run ``await drive(port)`` against a loopback server over ``engine``.
+
+    Returns what ``drive`` returned and the server's accepted in-flight
+    (waiting + executing) high-water mark.
+    """
+    import asyncio
+
+    from ..serving import ReproServer
+
+    async def _main():
+        server = ReproServer(engine, config)
+        await server.start()
+        try:
+            return await drive(server.port), server.peak_in_flight
+        finally:
+            await server.stop()
+
+    return asyncio.run(_main())
+
+
 def run_serving(trial: TrialSpec) -> "Dict[str, float]":
     """Sharded ``repro serve`` throughput under pipelined loopback load.
 
@@ -197,7 +221,8 @@ def run_serving(trial: TrialSpec) -> "Dict[str, float]":
     behind a :class:`repro.serving.ShardedEngine`, starts a loopback
     :class:`repro.serving.ReproServer`, and drives ``scale.n_inflight``
     single-query k-NN requests (0 = ``max(4 * n_queries, 64)``) pipelined
-    over a handful of connections so they are all in flight at once.
+    over a handful of connections: every frame is written before any reply
+    is read, so the whole population is in flight at once.
 
     Metrics: ``serve_qps``, ``serve_p50/p99_ms`` (client-observed, queueing
     included), ``inflight_peak`` (the server's accepted waiting+executing
@@ -206,20 +231,14 @@ def run_serving(trial: TrialSpec) -> "Dict[str, float]":
     """
     import asyncio
 
-    from ..serving import ReproServer, ServerConfig, ShardedEngine, encode_frame, read_frame
+    from ..serving import ServerConfig, ShardedEngine, encode_frame, read_frame
 
     engine_spec = trial.engine
     scale = trial.scale
     data, queries = make_trial_data(trial)
-    db = _database(trial)
-    db.ingest(data, bulk=db.tree is not None)
-
+    db = _database(trial, data)
     options = QueryOptions(k=engine_spec.k, mode=engine_spec.mode)
-    reference = db.knn_batch(queries, options)
-    expected = [
-        ([int(i) for i in r.ids], [float(d) for d in r.distances])
-        for r in reference.results
-    ]
+    expected = [_frontier(r) for r in db.knn_batch(queries, options).results]
 
     sharded = ShardedEngine.from_database(db, engine_spec.shards)
     n_inflight = scale.n_inflight or max(4 * scale.n_queries, 64)
@@ -233,9 +252,8 @@ def run_serving(trial: TrialSpec) -> "Dict[str, float]":
         }
         for i in range(n_inflight)
     ]
-    config = ServerConfig(queue_depth=n_inflight + 16)
 
-    async def _drive_connection(port: int, batch: "List[dict]") -> "List[tuple]":
+    async def _connection(port: int, batch: "List[dict]") -> "List[tuple]":
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         samples: "List[tuple]" = []
         try:
@@ -253,84 +271,68 @@ def run_serving(trial: TrialSpec) -> "Dict[str, float]":
             await writer.wait_closed()
         return samples
 
-    async def _drive() -> "tuple[float, List[tuple], int]":
-        server = ReproServer(sharded, config)
-        await server.start()
-        try:
-            n_conns = min(8, n_inflight)
-            batches = [requests[c::n_conns] for c in range(n_conns)]
-            started = time.perf_counter()
-            per_conn = await asyncio.gather(
-                *(_drive_connection(server.port, batch) for batch in batches)
-            )
-            elapsed = time.perf_counter() - started
-        finally:
-            await server.stop()
-        samples = [s for batch in per_conn for s in batch]
-        return elapsed, samples, server.peak_in_flight
+    async def _drive(port: int) -> "tuple[float, List[tuple]]":
+        n_conns = min(8, n_inflight)
+        started = time.perf_counter()
+        per_conn = await asyncio.gather(
+            *(_connection(port, requests[c::n_conns]) for c in range(n_conns))
+        )
+        return time.perf_counter() - started, [s for batch in per_conn for s in batch]
 
-    elapsed, samples, peak = asyncio.run(_drive())
+    (elapsed, samples), peak = _serve(
+        sharded, ServerConfig(queue_depth=n_inflight + 16), _drive
+    )
     sharded.close()
 
     identical = len(samples) == n_inflight
-    latencies_ms: "List[float]" = []
-    for rid, latency_ms, reply in samples:
-        latencies_ms.append(latency_ms)
-        want_ids, want_distances = expected[rid % scale.n_queries]
-        answer = reply.get("results", ({},))[0] if reply.get("ok") else {}
-        if answer.get("ids") != want_ids or answer.get("distances") != want_distances:
-            identical = False
+    for rid, _, reply in samples:
+        answer = reply["results"][0] if reply.get("ok") else {}
+        got = (answer.get("ids"), answer.get("distances"))
+        identical = identical and got == expected[rid % scale.n_queries]
 
     metrics = {
         "serve_qps": n_inflight / elapsed,
         "inflight_peak": float(peak),
         "results_identical": float(identical),
     }
-    metrics.update(
-        {
-            f"serve_{k}_ms": v
-            for k, v in _percentiles(latencies_ms).items()
-            if k in ("p50", "p99")
-        }
-    )
+    latencies = _percentiles([latency_ms for _, latency_ms, _ in samples])
+    metrics.update({f"serve_{k}_ms": latencies[k] for k in ("p50", "p99")})
     return metrics
 
 
-# ----------------------------------------------------------------------
-# continuous: standing subscriptions under streaming ingest
-# ----------------------------------------------------------------------
 def run_continuous(trial: TrialSpec) -> "Dict[str, float]":
-    """Insert-to-notify latency of standing k-NN subscriptions over TCP.
+    """Standing subscriptions over streamed inserts and deletes, over TCP.
 
-    Registers ``scale.n_subscriptions`` standing :class:`repro.continuous.
-    KnnWatch` queries (0 = ``max(n_queries, 8)``) on one subscriber
-    connection of a loopback :class:`repro.serving.ReproServer`, then
-    streams ``scale.n_inserts`` rows through a second connection.  Every
-    other streamed row is a noisy copy of a subscription query, so deltas
-    are guaranteed; latency is measured from just before the insert frame
-    is written to the moment its push frame is read back, matched by the
-    ``generation`` the insert response and the notification both carry.
+    Registers ``scale.n_subscriptions`` standing queries (0 =
+    ``max(n_queries, 8)``) on one subscriber connection of a loopback
+    :class:`repro.serving.ReproServer` over ``engine.shards`` shards: every
+    4th a :class:`repro.continuous.RangeWatch` whose radius sits 0.5 past
+    its query's 4th neighbour, the rest :class:`repro.continuous.KnnWatch`.
+    A second connection then streams ``scale.n_inserts`` rows — every other
+    one a noisy copy of a watch query, so deltas are guaranteed — and
+    deletes every 8th streamed row again.  Latency is measured from just
+    before a mutation frame is written to the moment a push frame it caused
+    is read, matched by the ``generation`` the reply and the push carry.
 
-    Metrics: ``notify_p50/p99_ms``, ``notifications`` (delta pushes
-    received), ``insert_qps``, and ``results_identical`` — each
-    subscription's final pushed frontier compared bit-for-bit (ids *and*
-    distances) against re-running its query from scratch on a fresh engine
-    fed the same rows.
+    Metrics: ``notify_p50/p99_ms``, ``notifications`` (delta pushes),
+    ``delta_phases`` (how many of the two mutation phases, insert and
+    delete, pushed at least one delta), ``subscriptions`` (live on the
+    server after the last mutation), ``insert_qps``, and
+    ``results_identical`` — each subscription's final pushed frontier
+    compared bit-for-bit (ids *and* distances) against its query re-run
+    from scratch on a fresh engine fed the same inserts and deletes.
     """
     import asyncio
-    import json
-    import struct
 
-    from ..continuous import KnnWatch
-    from ..serving import ReproServer, ServerConfig, ShardedEngine, encode_frame, read_frame
+    from ..continuous import KnnWatch, RangeWatch
+    from ..serving import ServerConfig, ShardedEngine, encode_frame, read_frame
 
     engine_spec = trial.engine
     scale = trial.scale
     data, queries = make_trial_data(trial)
 
-    def _build_engine():
-        db = _database(trial)
-        db.ingest(data, bulk=db.tree is not None)
+    def _engine():
+        db = _database(trial, data)
         if engine_spec.shards > 1:
             return ShardedEngine.from_database(db, engine_spec.shards)
         return db
@@ -342,154 +344,136 @@ def run_continuous(trial: TrialSpec) -> "Dict[str, float]":
     picks = rng.integers(0, scale.n_queries, size=n_inserts)
     near = queries[picks] + rng.normal(scale=0.05, size=(n_inserts, scale.length))
     stream = np.where((np.arange(n_inserts) % 2 == 0)[:, None], near, wild)
-    sub_queries = [queries[i % scale.n_queries] for i in range(n_subs)]
+    victims = range(0, n_inserts, 8)  # near copies: each sits in some frontier
 
-    engine = _build_engine()
+    # range radii: just past each query's 4th neighbour, so the near copies
+    # streamed in are guaranteed to join the range frontiers
+    radii = [
+        float(r.distances[-1]) + 0.5
+        for r in _database(trial, data).knn_batch(queries, QueryOptions(k=4)).results
+    ]
+    watches = [
+        RangeWatch(query=queries[i % scale.n_queries], radius=radii[i % scale.n_queries])
+        if i % 4 == 3
+        else KnnWatch(query=queries[i % scale.n_queries], k=engine_spec.k)
+        for i in range(n_subs)
+    ]
+
+    engine = _engine()
     config = ServerConfig(
         queue_depth=n_subs + n_inserts + 64, notify_queue=n_inserts + 8
     )
     received: "List[tuple]" = []  # (recv_perf_counter, notification payload)
-    gen_t0: "Dict[object, float]" = {}  # insert's resulting generation -> send t0
-    timings: "Dict[str, float]" = {}
+    sent: "Dict[object, tuple]" = {}  # mutation's generation -> (t0, phase)
 
     def _gen_key(generation):
         return tuple(generation) if isinstance(generation, list) else generation
 
-    async def _drive() -> "List[str]":
-        server = ReproServer(engine, config)
-        await server.start()
+    async def _drive(port: int) -> "tuple[List[str], List[int], float, int]":
+        sub_reader, sub_writer = await asyncio.open_connection("127.0.0.1", port)
+        mut_reader, mut_writer = await asyncio.open_connection("127.0.0.1", port)
+
+        async def _listen() -> None:
+            while (frame := await read_frame(sub_reader)) is not None:
+                if frame.get("op") == "notify":
+                    received.append((time.perf_counter(), frame["notification"]))
+
+        async def _mutate(rid: int, frame: dict, phase: str) -> dict:
+            t0 = time.perf_counter()
+            mut_writer.write(encode_frame({"id": rid, **frame}))
+            await mut_writer.drain()
+            reply = await read_frame(mut_reader)
+            sent[_gen_key(reply["generation"])] = (t0, phase)
+            return reply
+
+        listener = None
         try:
-            sub_reader, sub_writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            mut_reader, mut_writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            try:
-                # register every standing query, collect acks + initial pushes
-                for i, query in enumerate(sub_queries):
-                    watch = KnnWatch(query=query, k=engine_spec.k)
-                    sub_writer.write(
-                        encode_frame(
-                            {"id": i, "op": "subscribe", "query": watch.to_payload()}
-                        )
-                    )
-                await sub_writer.drain()
-                sids_by_rid: "Dict[int, str]" = {}
-                while len(sids_by_rid) < n_subs or len(received) < n_subs:
-                    frame = await read_frame(sub_reader)
-                    if frame.get("op") == "notify":
-                        received.append((time.perf_counter(), frame["notification"]))
-                    else:
-                        sids_by_rid[frame["id"]] = str(frame["subscription_id"])
-                sids = [sids_by_rid[i] for i in range(n_subs)]
+            # register every standing query, collect acks + initial pushes
+            for i, watch in enumerate(watches):
+                sub_writer.write(
+                    encode_frame({"id": i, "op": "subscribe", "query": watch.to_payload()})
+                )
+            await sub_writer.drain()
+            sids_by_rid: "Dict[int, str]" = {}
+            while len(sids_by_rid) < n_subs or len(received) < n_subs:
+                frame = await read_frame(sub_reader)
+                if frame.get("op") == "notify":
+                    received.append((time.perf_counter(), frame["notification"]))
+                else:
+                    sids_by_rid[frame["id"]] = str(frame["subscription_id"])
+            listener = asyncio.ensure_future(_listen())
 
-                done = asyncio.Event()
-
-                async def _mutate() -> None:
-                    started = time.perf_counter()
-                    for i, row in enumerate(stream):
-                        t0 = time.perf_counter()
-                        mut_writer.write(
-                            encode_frame(
-                                {"id": i, "op": "insert", "series": row.tolist()}
-                            )
-                        )
-                        await mut_writer.drain()
-                        reply = await read_frame(mut_reader)
-                        gen_t0[_gen_key(reply["generation"])] = t0
-                    timings["mutate_s"] = time.perf_counter() - started
-                    done.set()
-
-                async def _listen() -> None:
-                    # cancellation-safe framing: buffer raw bytes ourselves so
-                    # a timed-out read never strands half a frame
-                    buffer = bytearray()
-                    quiet = 0
-                    while True:
-                        try:
-                            chunk = await asyncio.wait_for(
-                                sub_reader.read(1 << 16), timeout=0.5
-                            )
-                        except asyncio.TimeoutError:
-                            if done.is_set() and not buffer:
-                                quiet += 1
-                                if quiet >= 2:
-                                    return
-                            continue
-                        if not chunk:
-                            return
-                        quiet = 0
-                        buffer.extend(chunk)
-                        while len(buffer) >= 4:
-                            (length,) = struct.unpack(">I", bytes(buffer[:4]))
-                            if len(buffer) < 4 + length:
-                                break
-                            body = bytes(buffer[4 : 4 + length])
-                            del buffer[: 4 + length]
-                            frame = json.loads(body.decode("utf-8"))
-                            if frame.get("op") == "notify":
-                                received.append(
-                                    (time.perf_counter(), frame["notification"])
-                                )
-
-                await asyncio.gather(_mutate(), _listen())
-                return sids
-            finally:
-                for writer in (sub_writer, mut_writer):
-                    writer.close()
-                    await writer.wait_closed()
+            started = time.perf_counter()
+            gids = []
+            for i, row in enumerate(stream):
+                reply = await _mutate(i, {"op": "insert", "series": row.tolist()}, "insert")
+                gids.append(int(reply["series_id"]))
+            insert_s = time.perf_counter() - started
+            deleted = []
+            for j in victims:
+                frame = {"op": "delete", "series_id": gids[j]}
+                if (await _mutate(n_inserts + j, frame, "delete")).get("deleted"):
+                    deleted.append(gids[j])
+            mut_writer.write(encode_frame({"id": -1, "op": "stats"}))
+            live = (await read_frame(mut_reader))["server"]["subscriptions"]
+            while True:  # every push is in once none arrives for a second
+                seen = len(received)
+                await asyncio.sleep(1.0)
+                if len(received) == seen:
+                    break
+            return [sids_by_rid[i] for i in range(n_subs)], deleted, insert_s, live
         finally:
-            await server.stop()
+            if listener is not None:
+                listener.cancel()
+            for writer in (sub_writer, mut_writer):
+                writer.close()
+                await writer.wait_closed()
 
-    sids = asyncio.run(_drive())
+    (sids, deleted, insert_s, live), _ = _serve(engine, config, _drive)
     closer = getattr(engine, "close", None)
     if callable(closer):
         closer()
 
     # latency per delta push + each subscription's final pushed frontier
-    latencies_ms: "List[float]" = []
-    state: "Dict[str, tuple]" = {}  # sid -> (seq, notification payload)
+    latencies_ms: "Dict[str, List[float]]" = {"insert": [], "delete": []}
+    state: "Dict[str, dict]" = {}  # sid -> latest notification payload
     for recv_t, note in received:
         sid = note["subscription_id"]
-        if sid not in state or note["seq"] > state[sid][0]:
-            state[sid] = (note["seq"], note)
-        t0 = gen_t0.get(_gen_key(note.get("generation")))
-        if t0 is not None:
-            latencies_ms.append((recv_t - t0) * 1e3)
+        if sid not in state or note["seq"] > state[sid]["seq"]:
+            state[sid] = note
+        t0, phase = sent.get(_gen_key(note.get("generation")), (None, None))
+        if phase in latencies_ms:
+            latencies_ms[phase].append((recv_t - t0) * 1e3)
 
-    scratch = _build_engine()
-    for row in stream:
-        scratch.insert(row)
-    batch = scratch.knn_batch(
-        np.asarray(sub_queries), QueryOptions(k=engine_spec.k)
+    scratch = _engine()
+    replayed = [int(scratch.insert(row)) for row in stream]
+    for gid in deleted:
+        scratch.delete(gid)
+    identical = len(deleted) == len(victims) and all(
+        replayed[j] == gid for j, gid in zip(victims, deleted)
     )
-    identical = len(state) == n_subs and bool(latencies_ms)
-    for i, result in enumerate(batch.results):
-        note = state.get(sids[i], (0, None))[1]
-        if note is None:
-            identical = False
-            continue
-        want_ids = [int(g) for g in result.ids]
-        want_distances = [float(d) for d in result.distances]
-        if note["ids"] != want_ids or note["distances"] != want_distances:
-            identical = False
+    for sid, watch in zip(sids, watches):
+        if isinstance(watch, KnnWatch):
+            result = scratch.knn_batch(watch.query[None, :], QueryOptions(k=watch.k))
+            result = result.results[0]
+        else:
+            result = scratch.range_query(watch.query, watch.radius)
+        note = state.get(sid, {})
+        identical = identical and (note.get("ids"), note.get("distances")) == _frontier(result)
     closer = getattr(scratch, "close", None)
     if callable(closer):
         closer()
 
+    pushes = latencies_ms["insert"] + latencies_ms["delete"]
     metrics = {
-        "notifications": float(len(latencies_ms)),
-        "insert_qps": n_inserts / timings["mutate_s"],
+        "notifications": float(len(pushes)),
+        "delta_phases": float(sum(bool(v) for v in latencies_ms.values())),
+        "subscriptions": float(live),
+        "insert_qps": n_inserts / insert_s,
         "results_identical": float(identical),
     }
-    metrics.update(
-        {
-            f"notify_{k}_ms": v
-            for k, v in _percentiles(latencies_ms or [0.0]).items()
-            if k in ("p50", "p99")
-        }
-    )
+    latencies = _percentiles(pushes or [0.0])
+    metrics.update({f"notify_{k}_ms": latencies[k] for k in ("p50", "p99")})
     return metrics
 
 

@@ -117,18 +117,30 @@ def open_database(directory: PathLike, durability=None):
             data = archive["data"]
         database._load(data, representations=representations, live_ids=live_ids)
         base_count = len(data)
-    database._home = directory
+    finish_reopen(database, directory, base_count, durability)
+    return database
+
+
+def finish_reopen(database, directory: pathlib.Path, base_count: int, durability) -> None:
+    """Bring a database reopened from ``directory`` up to date and durable.
+
+    Replays the directory's write-ahead log past ``base_count`` (the rows
+    already in the saved state), packs the index once over the live
+    entries, and attaches a WAL when ``durability`` asks for one — or,
+    with no ``durability`` given, when the directory already had a log.
+    ``DurabilityOptions(wal=False)`` reopens without one either way.
+    """
+    from ..lifecycle.recovery import recover_database
     from ..lifecycle.wal import WAL_FILENAME, DurabilityOptions, WriteAheadLog
+
+    database._home = directory
     wal_path = directory / WAL_FILENAME
     had_wal = wal_path.exists()
     if had_wal:
-        from ..lifecycle.recovery import recover_database
-
         recover_database(database, wal_path, base_count)
     database._build_index(bulk=True)
-    wants_wal = durability.wal if durability is not None else had_wal
-    if wants_wal:
+    if durability.wal if durability is not None else had_wal:
+        directory.mkdir(parents=True, exist_ok=True)
         database.attach_wal(
             WriteAheadLog.open(wal_path, durability or DurabilityOptions())
         )
-    return database

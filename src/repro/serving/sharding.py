@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from threading import RLock
 from typing import List, Optional, Sequence, Union
@@ -142,7 +141,7 @@ class ShardedEngine:
     round-robin prefix.
     """
 
-    def __init__(self, shards: "Sequence[SeriesDatabase]", parallel: bool = False):
+    def __init__(self, shards: "Sequence[SeriesDatabase]"):
         if not shards:
             raise ValueError("at least one shard is required")
         self._shards = list(shards)
@@ -158,20 +157,15 @@ class ShardedEngine:
         self._next_id = total
         self._home: "Optional[pathlib.Path]" = None
         self._lock = RLock()
-        self._pool = (
-            ThreadPoolExecutor(max_workers=n, thread_name_prefix="repro-shard")
-            if parallel and n > 1
-            else None
-        )
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_database(cls, db, n_shards: int, parallel: bool = False) -> "ShardedEngine":
+    def from_database(cls, db, n_shards: int) -> "ShardedEngine":
         """Partition ``db`` into ``n_shards`` and wrap the result."""
-        return cls(partition_database(db, n_shards), parallel=parallel)
+        return cls(partition_database(db, n_shards))
 
     @classmethod
-    def open(cls, home: PathLike, durability=None, parallel: bool = False) -> "ShardedEngine":
+    def open(cls, home: PathLike, durability=None) -> "ShardedEngine":
         """Reopen a sharded home saved by :meth:`save`.
 
         Each shard recovers independently through its own WAL (see
@@ -181,9 +175,7 @@ class ShardedEngine:
         trim sticks) — exactly the acknowledged prefix survives.  Older
         manifests also name the adaptive query bound; that key is ignored.
         """
-        from ..io.database import open_database
-        from ..lifecycle.recovery import recover_database
-        from ..lifecycle.wal import WAL_FILENAME, DurabilityOptions, WriteAheadLog
+        from ..io.database import finish_reopen, open_database
 
         home = pathlib.Path(home)
         manifest = json.loads((home / MANIFEST_FILENAME).read_text())
@@ -205,20 +197,10 @@ class ShardedEngine:
                 max_entries=int(manifest.get("max_entries", 5)),
                 min_entries=int(manifest.get("min_entries", 2)),
             )
-            shard._home = directory
-            wal_path = directory / WAL_FILENAME
-            had_wal = wal_path.exists()
-            if had_wal:
-                recover_database(shard, wal_path, 0)
-            shard._build_index(bulk=True)
-            if durability is not None or had_wal:
-                directory.mkdir(parents=True, exist_ok=True)
-                shard.attach_wal(
-                    WriteAheadLog.open(wal_path, durability or DurabilityOptions())
-                )
+            finish_reopen(shard, directory, 0, durability)
             shards.append(shard)
         cls._repair_prefix(home, shards)
-        engine = cls(shards, parallel=parallel)
+        engine = cls(shards)
         engine._home = home
         return engine
 
@@ -321,10 +303,7 @@ class ShardedEngine:
             def on(snap):
                 return None if snap.data is None else run(snap.engine(), queries)
 
-            if self._pool is not None:
-                batches = list(self._pool.map(on, snaps))
-            else:
-                batches = [on(snap) for snap in snaps]
+            batches = [on(snap) for snap in snaps]
             merge_start = time.perf_counter()
             results, timed_out = self._merge(batches, len(queries), k)
             if obs.is_enabled():
@@ -498,10 +477,7 @@ class ShardedEngine:
                 shard.wal.sync()
 
     def close(self) -> None:
-        """Shut the scatter pool down and close every shard WAL."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Close every shard WAL."""
         for shard in self._shards:
             if shard.wal is not None:
                 shard.wal.close()

@@ -1,4 +1,4 @@
-"""ResultsStore round-trips, schema guard, exports, ad-hoc bench trials."""
+"""ResultsStore round-trips, schema guard, exports."""
 
 import json
 import sqlite3
@@ -11,7 +11,6 @@ from repro.experiments import (
     ResultsStore,
     environment_facts,
     expand,
-    record_bench_trial,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import RunReport
@@ -100,14 +99,3 @@ class TestSchemaGuard:
         with pytest.raises(ValueError, match="schema v"):
             ResultsStore(path)
 
-
-class TestBenchTrials:
-    def test_record_bench_trial_creates_named_experiment(self, tiny_spec, tmp_path):
-        path = tmp_path / "bench.sqlite"
-        trial = expand(tiny_spec)[0]
-        record_bench_trial(path, "batch_knn", trial, sample_report(), {"speedup": 4.0})
-        with ResultsStore(path) as store:
-            experiment = store.latest_experiment("bench-batch_knn")
-            assert experiment is not None
-            metrics = store.trial_metrics(store.trials(experiment["id"])[0]["id"])
-            assert metrics["speedup"] == 4.0

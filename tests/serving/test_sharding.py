@@ -212,6 +212,16 @@ class TestPersistence:
             reopened.knn_batch(data[:3], QueryOptions(k=5)),
         )
 
+    def test_wal_false_reopens_every_shard_without_a_log(self, tmp_path):
+        # one row over two shards: shard 0 is checkpointed, shard 1 never was
+        home, _ = self.seeded_home(tmp_path, n_shards=2, count=1)
+        assert not (home / "shard-01" / "config.json").exists()
+        engine = ShardedEngine.open(home, durability=DurabilityOptions(wal=False))
+        assert [shard.wal is not None for shard in engine.shards] == [False, False]
+        engine = ShardedEngine.open(home, durability=self.durability())
+        assert [shard.wal is not None for shard in engine.shards] == [True, True]
+        engine.close()
+
     def test_wal_recovery_without_checkpoint(self, tmp_path):
         home, data = self.seeded_home(tmp_path)
         engine = ShardedEngine.open(home, durability=self.durability())
@@ -265,15 +275,3 @@ class TestPersistence:
         # and the trim is durable: reopening doesn't resurrect the row
         again = ShardedEngine.open(home)
         assert again.count == 10
-
-    def test_parallel_scatter_identical(self, tmp_path):
-        data = dataset(count=20)
-        db = build("PAA", None, data)
-        engine = ShardedEngine.from_database(db, 4, parallel=True)
-        try:
-            assert_batches_identical(
-                db.knn_batch(data[:4], QueryOptions(k=7)),
-                engine.knn_batch(data[:4], QueryOptions(k=7)),
-            )
-        finally:
-            engine.close()

@@ -73,8 +73,7 @@ class TestGenerateAndKNN:
 
     def test_stats_renders_a_committed_report_with_a_retired_gauge(self, capsys):
         report = (
-            pathlib.Path(__file__).resolve().parents[1]
-            / "benchmarks" / "results" / "batch_knn.report.json"
+            pathlib.Path(__file__).resolve().parent / "reports" / "batch_knn.report.json"
         )
         assert main(["stats", "--report", str(report)]) == 0
         assert "engine.parallelism" in capsys.readouterr().out
