@@ -139,7 +139,8 @@ def finish_reopen(database, directory: pathlib.Path, base_count: int, durability
     if had_wal:
         recover_database(database, wal_path, base_count)
     database._build_index(bulk=True)
-    if durability.wal if durability is not None else had_wal:
+    wants_wal = durability.wal if durability is not None else had_wal
+    if wants_wal:
         directory.mkdir(parents=True, exist_ok=True)
         database.attach_wal(
             WriteAheadLog.open(wal_path, durability or DurabilityOptions())

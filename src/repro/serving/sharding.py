@@ -300,10 +300,10 @@ class ShardedEngine:
         start = time.perf_counter()
         snaps = [sh.snapshot() for sh in self._shards]
         try:
-            def on(snap):
-                return None if snap.data is None else run(snap.engine(), queries)
-
-            batches = [on(snap) for snap in snaps]
+            batches = [
+                None if snap.data is None else run(snap.engine(), queries)
+                for snap in snaps
+            ]
             merge_start = time.perf_counter()
             results, timed_out = self._merge(batches, len(queries), k)
             if obs.is_enabled():
