@@ -112,7 +112,8 @@ verify: verify-obs verify-engine verify-lifecycle verify-experiments \
 	verify-cascade verify-serving verify-continuous verify-reduction verify-perf
 
 # regenerate the committed baselines: every BENCH_<spec>.json at the repo root
-# (after BENCH_serving.json, recompute serving.toml's inflight_peak limit)
+# (then recompute serving.toml's inflight_peak and batch_knn.toml's speedup
+# limits from the new files; tests/experiments/test_committed_gates.py checks)
 baseline:
 	for spec in medium batch_knn ingest serving continuous; do \
 		PYTHONPATH=src python -m repro experiment run benchmarks/specs/$$spec.toml \
