@@ -1,6 +1,6 @@
 # Convenience targets for the SAPLA reproduction.
 
-.PHONY: install test bench bench-full examples results clean verify verify-obs verify-engine \
+.PHONY: install test paper examples clean verify verify-obs verify-engine \
 	verify-lifecycle verify-experiments verify-cascade verify-serving verify-continuous \
 	verify-reduction verify-perf crash-matrix baseline
 
@@ -115,26 +115,20 @@ verify: verify-obs verify-engine verify-lifecycle verify-experiments \
 # (then recompute serving.toml's inflight_peak and batch_knn.toml's speedup
 # limits from the new files; tests/experiments/test_committed_gates.py checks)
 baseline:
-	for spec in medium batch_knn ingest serving continuous; do \
+	for spec in medium batch_knn ingest serving continuous paper; do \
 		PYTHONPATH=src python -m repro experiment run benchmarks/specs/$$spec.toml \
 			--store benchmarks/results/experiments.sqlite --bench-dir . || exit 1; \
 	done
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
-# the paper's full grid (hours in pure Python; see DESIGN.md)
-bench-full:
-	REPRO_LENGTH=1024 REPRO_SERIES=100 REPRO_QUERIES=5 REPRO_DATASETS=all \
-	REPRO_COEFFICIENTS=12,18,24 REPRO_KS=4,8,16,32,64 \
-	pytest benchmarks/ --benchmark-only
+# the paper's tables and figures (Table 1, Figs. 12-16, the ablations; about
+# ten minutes): run benchmarks/specs/paper.toml and diff it against the
+# committed BENCH_paper.json that EXPERIMENTS.md is read from
+paper:
+	$(call run-spec,paper)
 
 examples:
 	for script in examples/*.py; do echo "== $$script"; python $$script; done
 
-results:
-	python -m repro experiment all --output results
-
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -18,16 +18,17 @@ Commands
 ``subscribe``    register a standing query (k-NN / range) against a server
                  or local database and print each pushed notification as a
                  JSON line; see docs/continuous.md
-``experiment``   regenerate one of the paper's tables/figures, or drive the
-                 experiment service: ``experiment run <spec.toml>`` executes
-                 a declarative benchmark matrix into an sqlite results store
-                 and writes ``BENCH_<spec>.json``; ``experiment report``
-                 renders trend tables from the store; ``experiment diff``
-                 judges the latest run against a committed baseline with the
-                 spec's regression gates (non-zero exit on violation)
+``experiment``   drive the experiment service: ``experiment run <spec.toml>``
+                 executes a declarative benchmark matrix (the paper's tables
+                 and figures are ``benchmarks/specs/paper.toml``) into an
+                 sqlite results store and writes ``BENCH_<spec>.json``;
+                 ``experiment report`` renders trend tables from the store;
+                 ``experiment diff`` judges the latest run against a committed
+                 baseline with the spec's regression gates (non-zero exit on
+                 violation)
 ``stats``        list the metric catalogue or summarise a saved run report
 
-``knn`` and ``experiment`` accept ``--report out.json`` to capture the
+``knn`` and ``serve`` accept ``--report out.json`` to capture the
 observability layer (counters, gauges, histograms, span tree) for the run
 and write it as a schema-versioned :class:`repro.obs.RunReport`.
 """
@@ -42,19 +43,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import obs
-from .bench import (
-    ExperimentConfig,
-    print_table,
-    run_bound_ablation,
-    run_dbch_ablation,
-    run_index_grid,
-    run_maxdev_and_time,
-    run_scaling,
-    run_worked_example,
-    summarise_ingest_knn,
-    summarise_pruning_accuracy,
-    summarise_tree_shape,
-)
 from .data import DATASETS, UCRLikeArchive
 from .engine import QueryOptions
 from .index import SeriesDatabase
@@ -63,6 +51,15 @@ from .kinds import IndexKind
 from .reduction import REDUCERS
 
 __all__ = ["main"]
+
+
+def print_table(title: str, rows) -> None:
+    """Print ``rows`` as an aligned table
+    (:func:`repro.experiments.report.print_table`), imported on first use so
+    that ``repro serve`` starts without loading the experiment service."""
+    from .experiments.report import print_table as _print_table
+
+    _print_table(title, rows)
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -425,34 +422,6 @@ def _print_spans(spans, indent: int) -> None:
         _print_spans(node.get("children", ()), indent + 1)
 
 
-def _cmd_report(args) -> int:
-    from .bench import generate_report
-
-    report = generate_report(args.results, args.output)
-    if args.output:
-        print(f"wrote {args.output}")
-    else:
-        print(report)
-    return 0
-
-
-_EXPERIMENTS = (
-    "all",
-    "fig1",
-    "table1",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "ablation-bounds",
-    "ablation-dbch",
-    # experiment service (declarative spec matrix -> sqlite store -> gates)
-    "run",
-    "report",
-    "diff",
-)
-
-
 def _print_cells(cells) -> None:
     """One table per workload family; cells carry heterogeneous metrics."""
     by_workload: dict = {}
@@ -548,87 +517,7 @@ def _cmd_experiment(args) -> int:
         return _cmd_experiment_run(args)
     if args.which == "report":
         return _cmd_experiment_report(args)
-    if args.which == "diff":
-        return _cmd_experiment_diff(args)
-    config_kwargs = dict(
-        dataset_names=tuple(args.datasets) if args.datasets else (),
-        length=args.length,
-        n_series=args.series,
-        n_queries=args.queries,
-        coefficients=tuple(args.coefficients),
-        ks=tuple(args.ks),
-    )
-    if args.methods:
-        config_kwargs["methods"] = tuple(args.methods)
-    config = ExperimentConfig(**config_kwargs)
-    if args.report:
-        with obs.capture() as session:
-            with obs.span("cli.experiment"):
-                code = _run_experiment(args, config)
-        session.report(
-            meta={
-                "command": "experiment",
-                "which": args.which,
-                "datasets": list(config.dataset_names),
-                "coefficients": list(config.coefficients),
-                "ks": list(config.ks),
-                "length": config.length,
-                "n_series": config.n_series,
-            }
-        ).save(args.report)
-        print(f"wrote {args.report}")
-        return code
-    return _run_experiment(args, config)
-
-
-def _run_experiment(args, config: ExperimentConfig) -> int:
-    which = args.which
-    if which == "all":
-        from .bench import run_all
-
-        results = run_all(
-            config, args.output, overwrite=args.overwrite, progress=print
-        )
-        for name, rows in results.items():
-            from .bench import EXPERIMENT_TITLES
-
-            print_table(EXPERIMENT_TITLES[name], rows)
-        print(f"\nresults persisted under {args.output}")
-    elif which == "fig1":
-        print_table("Fig 1 — worked example (M=12)", run_worked_example())
-    elif which == "table1":
-        print_table(
-            "Table 1 — reduction time vs length",
-            run_scaling(lengths=(64, 128, min(config.length, 256))),
-        )
-    elif which == "fig12":
-        print_table("Fig 12 — max deviation & reduction time", run_maxdev_and_time(config))
-    elif which in ("fig13", "fig14", "fig15"):
-        grid = run_index_grid(config)
-        if which == "fig13":
-            from .bench import grouped_bar_chart
-
-            rows = summarise_pruning_accuracy(grid)
-            print_table("Fig 13 — pruning power & accuracy", rows)
-            print()
-            print(
-                grouped_bar_chart(
-                    "Fig 13a — pruning power (lower is better)",
-                    rows,
-                    "method",
-                    "index",
-                    "pruning_power",
-                )
-            )
-        elif which == "fig14":
-            print_table("Fig 14 — ingest & k-NN CPU time", summarise_ingest_knn(grid))
-        else:
-            print_table("Figs 15/16 — node counts & height", summarise_tree_shape(grid))
-    elif which == "ablation-bounds":
-        print_table("Ablation — SAPLA bound modes", run_bound_ablation(config))
-    elif which == "ablation-dbch":
-        print_table("Ablation — SAPLA query bound", run_dbch_ablation(config))
-    return 0
+    return _cmd_experiment_diff(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,17 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("report", help="render a markdown report from results")
-    p.add_argument("--results", default="results", help="run_all output directory")
-    p.add_argument("--output", default=None, help="write the report here")
-    p.set_defaults(func=_cmd_report)
-
     p = sub.add_parser(
         "experiment",
-        help="regenerate a paper table/figure, or drive the experiment service "
-        "(run <spec> / report / diff)",
+        help="drive the experiment service (run <spec> / report / diff)",
     )
-    p.add_argument("which", choices=_EXPERIMENTS)
+    p.add_argument("which", choices=("run", "report", "diff"))
     p.add_argument(
         "spec", nargs="?", default=None,
         help="experiment spec file (.toml/.json) for the run/diff subcommands",
@@ -823,22 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload", default=None,
         help="workload-family filter in 'report' trend tables",
-    )
-    p.add_argument("--datasets", nargs="*", default=None)
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--series", type=int, default=24)
-    p.add_argument("--queries", type=int, default=3)
-    p.add_argument("--coefficients", nargs="*", type=int, default=[12])
-    p.add_argument("--ks", nargs="*", type=int, default=[4, 8])
-    p.add_argument(
-        "--methods", nargs="*", choices=sorted(REDUCERS), default=None,
-        help="restrict the evaluated methods",
-    )
-    p.add_argument("--output", default="results", help="directory for 'all' results")
-    p.add_argument("--overwrite", action="store_true", help="re-run cached experiments")
-    p.add_argument(
-        "--report", default=None, metavar="OUT.json",
-        help="capture metrics + spans for the run and write a RunReport here",
     )
     p.set_defaults(func=_cmd_experiment)
 

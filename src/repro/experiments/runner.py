@@ -6,7 +6,8 @@ trial (metrics registry + span tree swapped in around the workload call, so
 trials never contaminate each other or the caller), records each trial into
 the :class:`repro.experiments.ResultsStore`, and finally writes the
 ``BENCH_<spec>.json`` trajectory summary — per-cell medians of the derived
-metrics plus pruning-counter ratios — at the chosen root.
+metrics plus pruning-counter ratios (the worst repeat of a pass/fail
+metric) — at the chosen root.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ def run_trial(trial: TrialSpec) -> "tuple[Dict[str, float], RunReport, float]":
     return derived, report, elapsed
 
 
+#: pass/fail metrics: a cell keeps its worst repeat, so one repeat that
+#: served a wrong answer fails the cell however many repeats were right
+_WORST_OF = {"results_identical": min}
+
+
 def summarise_cells(
     spec: ExperimentSpec, per_cell: "Dict[str, Dict[str, List[float]]]"
 ) -> "List[Dict]":
-    """Per-cell median metrics in matrix order (the BENCH ``cells`` rows)."""
+    """Per-cell metrics in matrix order (the BENCH ``cells`` rows): the
+    median over repeats, except ``results_identical``, which is the
+    minimum."""
     axes_by_key: "Dict[str, Dict]" = {}
     for trial in expand(spec):
         if trial.repeat == 0:
@@ -126,7 +134,7 @@ def summarise_cells(
                 **axes,
                 "repeats": max(len(values) for values in series.values()),
                 "metrics": {
-                    name: float(statistics.median(values))
+                    name: float(_WORST_OF.get(name, statistics.median)(values))
                     for name, values in sorted(series.items())
                 },
             }

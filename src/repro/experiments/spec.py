@@ -17,6 +17,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..data import DATASETS
 from ..kinds import IndexKind
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
 
 #: the workload families the runner knows how to execute
 #: (implementations live in :mod:`repro.experiments.workloads`)
-WORKLOAD_FAMILIES = ("batch_knn", "ingest", "pruning", "serving", "continuous")
+WORKLOAD_FAMILIES = (
+    "batch_knn", "ingest", "pruning", "reduction", "serving", "continuous"
+)
 
 #: multiplier deriving per-cell seeds from the spec seed (any odd prime
 #: keeps distinct cells on distinct streams; the value is part of the
@@ -47,12 +50,18 @@ PathLike = Union[str, pathlib.Path]
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """One dataset scale of the matrix: synthetic random-walk dimensions."""
+    """One dataset scale of the matrix: its rows, their length and count.
+
+    ``dataset`` names a dataset of the synthetic archive
+    (:class:`repro.data.UCRLikeArchive`), loaded at this length, series and
+    query count; empty means seeded random walks.
+    """
 
     name: str
     length: int = 128
     n_series: int = 256
     n_queries: int = 16
+    dataset: str = ""
     #: rows streamed by the ``ingest`` and ``continuous`` workloads
     #: (0 = derived: half of ``n_series``, at least 32); ``continuous``
     #: deletes every 8th of them again
@@ -71,6 +80,10 @@ class ScaleSpec:
             raise ValueError("n_inflight must be >= 0")
         if self.n_subscriptions < 0:
             raise ValueError("n_subscriptions must be >= 0")
+        if self.dataset and self.dataset not in DATASETS:
+            raise ValueError(
+                f"scale {self.name!r}: unknown archive dataset {self.dataset!r}"
+            )
 
 
 @dataclass(frozen=True)

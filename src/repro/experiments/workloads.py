@@ -7,44 +7,115 @@ experiment runner) owns the obs capture around the call, so the same
 measurement code produces both the derived metrics and the RunReport
 counters/spans a trial row stores.
 
-Inputs are synthetic random walks generated from the trial seed — same
-seed, same data, bit-identical workload from one run to the next.
+Inputs are seeded random walks generated from the trial seed, or a named
+dataset of the synthetic archive — same spec, same data, bit-identical
+workload from one run to the next.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from ..core.sapla import SAPLA
+from ..data import UCRLikeArchive
+from ..data.normalize import resample_to_length
+from ..distance import dist_par_batch
 from ..engine import ExecutionMode, QueryOptions
+from ..engine.states import gather_rows
 from ..index import SeriesDatabase
+from ..index.knn import KNNResult, TopK
+from ..index.stats import dbch_overlap, leaf_fill, rtree_overlap
 from ..kinds import IndexKind
+from ..metrics.deviation import max_deviation
 from ..reduction import REDUCERS
+from ..reduction.base import Reducer
 from .spec import WORKLOAD_FAMILIES, TrialSpec
 
-__all__ = ["WORKLOADS", "supports", "run_workload", "make_trial_data"]
+__all__ = ["WORKLOADS", "supports", "run_workload", "make_trial_data", "dist_par_scan"]
+
+#: APLA's error matrix makes longer series impractical in pure Python, so
+#: APLA trials resample their rows and queries to this length (EXPERIMENTS.md
+#: deviation 4)
+APLA_MAX_LENGTH = 256
 
 
 def make_trial_data(trial: TrialSpec) -> "tuple[np.ndarray, np.ndarray]":
-    """The trial's (data, queries): seeded random walks plus noisy picks."""
+    """The trial's (data, queries).
+
+    A scale naming an archive dataset loads it at the scale's length,
+    series and query count; otherwise the rows are seeded random walks and
+    the queries noisy picks of them.  APLA trials get both resampled to
+    :data:`APLA_MAX_LENGTH` when longer.
+    """
     scale = trial.scale
-    rng = np.random.default_rng(trial.seed)
-    data = rng.normal(size=(scale.n_series, scale.length)).cumsum(axis=1)
-    picks = rng.integers(0, scale.n_series, size=scale.n_queries)
-    queries = data[picks] + rng.normal(scale=0.05, size=(scale.n_queries, scale.length))
+    if scale.dataset:
+        archive = UCRLikeArchive(scale.length, scale.n_series, scale.n_queries)
+        dataset = archive.load(scale.dataset)
+        data, queries = dataset.data, dataset.queries
+    else:
+        rng = np.random.default_rng(trial.seed)
+        data = rng.normal(size=(scale.n_series, scale.length)).cumsum(axis=1)
+        picks = rng.integers(0, scale.n_series, size=scale.n_queries)
+        queries = data[picks] + rng.normal(scale=0.05, size=(scale.n_queries, scale.length))
+    if trial.reducer.method == "APLA" and scale.length > APLA_MAX_LENGTH:
+        data, queries = (
+            np.array([resample_to_length(row, APLA_MAX_LENGTH) for row in rows])
+            for rows in (data, queries)
+        )
     return data, queries
+
+
+def _reducer(trial: TrialSpec) -> Reducer:
+    return REDUCERS[trial.reducer.method](n_coefficients=trial.reducer.coefficients)
 
 
 def _database(trial: TrialSpec, data: np.ndarray) -> SeriesDatabase:
     """The trial's database over ``data``, its tree packed bottom-up."""
-    reducer = REDUCERS[trial.reducer.method](n_coefficients=trial.reducer.coefficients)
-    index = None if trial.index_kind is IndexKind.NONE else trial.index_kind
-    db = SeriesDatabase(reducer, index=index)
+    db = SeriesDatabase(_reducer(trial), index=trial.index_kind)
     db.ingest(data, bulk=True)
     return db
+
+
+#: results shared by neighbouring cells: (what, reducer, digest of the rows)
+#: -> value, the oldest of more than four dropped first
+_shared: "OrderedDict[tuple, object]" = OrderedDict()
+
+
+def _shared_result(what: str, trial: TrialSpec, data: np.ndarray, compute: Callable):
+    """``compute()``, or what it returned for the same rows and reducer.
+
+    The matrix puts cells that differ only in index or engine next to each
+    other, and a scale naming an archive dataset has the same rows in all
+    of them, so each such group reduces (and times) its rows once.  The
+    key holds everything the value depends on — reductions are
+    deterministic — so a caller only ever gets what it would have computed
+    itself, timed by the cell that computed it first.
+    """
+    key = (what, trial.reducer, hashlib.blake2b(data.tobytes(), digest_size=16).digest())
+    if key not in _shared:
+        _shared[key] = compute()
+        while len(_shared) > 4:
+            _shared.popitem(last=False)
+    return _shared[key]
+
+
+def _reduce(trial: TrialSpec, data: np.ndarray) -> "tuple[list, float]":
+    """The representations of ``data`` under the trial's reducer, and the
+    mean seconds one ``transform`` took (shared, see :func:`_shared_result`)."""
+
+    def compute():
+        reducer = _reducer(trial)
+        started = time.perf_counter()
+        representations = [reducer.transform(row) for row in data]
+        return representations, (time.perf_counter() - started) / len(data)
+
+    return _shared_result("reduce", trial, data, compute)
 
 
 def _percentiles(values: "List[float]") -> "Dict[str, float]":
@@ -156,32 +227,149 @@ def run_ingest(trial: TrialSpec) -> "Dict[str, float]":
 
 
 # ----------------------------------------------------------------------
-# pruning: filter-and-refine quality (paper Fig. 13's axes)
+# pruning: filter-and-refine quality and tree shape (paper Figs. 13-16)
 # ----------------------------------------------------------------------
-def run_pruning(trial: TrialSpec) -> "Dict[str, float]":
-    """Pruning power and accuracy of filter-and-refine k-NN.
+#: the methods whose as-published query bound, Dist_PAR, is no lower bound
+_PAR_METHODS = ("SAPLA", "APLA", "APCA")
 
-    Metrics: mean ``pruning_power`` (verified/total, paper Eq. 14), mean
-    ``accuracy`` against exact ground truth, and per-query ``knn_*_ms``
-    latency percentiles.  The per-bound pruning breakdown comes from the
-    captured obs counters, not from here.
+
+def dist_par_scan(db: SeriesDatabase, query: np.ndarray, k: int) -> KNNResult:
+    """k-NN by a filter-and-refine scan with the paper's Dist_PAR as the bound.
+
+    Dist_PAR is not a lower bound for adaptive layouts (EXPERIMENTS.md
+    deviation 1), so no database answers with it; the ``pruning`` family
+    measures the as-published bound here.  Rows of ``db``'s columnar store
+    are bounded with :func:`repro.distance.dist_par_batch` against the
+    query's own reduction, then verified in ``(bound, id)`` order until the
+    next bound is strictly above the k-th best distance so far.
+    """
+    sids, columns = db.stacked_entries()
+    bounds = dist_par_batch(db.reducer.transform(query), columns)
+    best = TopK(k)
+    verified = 0
+    for row in np.lexsort((sids, bounds)):
+        if best.full and bounds[row] > best.threshold:
+            break
+        sid = int(sids[row])
+        distance = np.linalg.norm(gather_rows(db.data, [sid]) - query[None, :], axis=1)[0]
+        best.offer(float(distance), sid)
+        verified += 1
+    ranked = best.ranked()
+    return KNNResult(
+        ids=[sid for _, sid in ranked],
+        distances=[d for d, _ in ranked],
+        n_verified=verified,
+        n_total=len(sids),
+    )
+
+
+def run_pruning(trial: TrialSpec) -> "Dict[str, float]":
+    """Pruning power, accuracy and tree shape of filter-and-refine k-NN.
+
+    The trial's index is grown by inserting one representation at a time
+    at the paper's node fill of 2..5, as Figs. 14a, 15 and 16 measure it.
+
+    Metrics, every cell: mean ``pruning_power`` (verified/total, paper
+    Eq. 14), mean ``accuracy`` against exact ground truth, per-query
+    ``knn_*_ms`` latency percentiles and ``linear_scan_ms``, the mean time
+    of that exact scan (Fig. 14b's last bar).  Tree cells add ``ingest_s``
+    (inserting every representation), ``internal_nodes``, ``leaf_nodes``,
+    ``total_nodes``, ``height``, ``overlap`` (the fraction of overlapping
+    sibling pairs, :mod:`repro.index.stats`) and ``leaf_fill``.  SAPLA,
+    APLA and APCA scan cells add ``par_pruning_power`` and ``par_accuracy``:
+    the same queries answered by :func:`dist_par_scan`.  The per-bound
+    pruning breakdown comes from the captured obs counters, not from here.
     """
     data, queries = make_trial_data(trial)
-    db = _database(trial, data)
+    representations, _ = _reduce(trial, data)
+    db = SeriesDatabase(_reducer(trial), index=trial.index_kind)
+    started = time.perf_counter()
+    db.ingest(data, representations=representations)
+    ingest_s = time.perf_counter() - started
+
     k = trial.engine.k
-    powers, accuracies, times_ms = [], [], []
+    par_scan = trial.index_kind == IndexKind.NONE and trial.reducer.method in _PAR_METHODS
+    outcomes: "Dict[str, List[float]]" = {
+        name: []
+        for name in ("pruning_power", "accuracy", "par_pruning_power", "par_accuracy")
+    }
+    times_ms, scan_ms = [], []
     for query in queries:
+        started = time.perf_counter()
         truth = db.ground_truth(query, k)
+        scan_ms.append((time.perf_counter() - started) * 1e3)
         started = time.perf_counter()
         result = db.knn(query, k)
         times_ms.append((time.perf_counter() - started) * 1e3)
-        powers.append(result.pruning_power)
-        accuracies.append(result.accuracy_against(truth))
-    metrics = {
-        "pruning_power": float(np.mean(powers)),
-        "accuracy": float(np.mean(accuracies)),
-    }
-    metrics.update({f"knn_{k}_ms": v for k, v in _percentiles(times_ms).items()})
+        searches = [("", result)]
+        if par_scan:
+            searches.append(("par_", dist_par_scan(db, query, k)))
+        for prefix, answer in searches:
+            outcomes[f"{prefix}pruning_power"].append(answer.pruning_power)
+            outcomes[f"{prefix}accuracy"].append(answer.accuracy_against(truth))
+    metrics = {name: float(np.mean(values)) for name, values in outcomes.items() if values}
+    metrics.update({f"knn_{label}_ms": v for label, v in _percentiles(times_ms).items()})
+    metrics["linear_scan_ms"] = float(np.mean(scan_ms))
+    if db.tree is not None:
+        counts = db.tree.node_counts()
+        overlap = rtree_overlap if trial.index_kind == IndexKind.RTREE else dbch_overlap
+        metrics.update(
+            {
+                "ingest_s": ingest_s,
+                "internal_nodes": float(counts["internal"]),
+                "leaf_nodes": float(counts["leaf"]),
+                "total_nodes": float(counts["total"]),
+                "height": float(db.tree.height),
+                "overlap": overlap(db.tree),
+                "leaf_fill": leaf_fill(db.tree),
+            }
+        )
+    return metrics
+
+
+# ----------------------------------------------------------------------
+# reduction: max deviation and reduction time (paper Fig. 12, Table 1)
+# ----------------------------------------------------------------------
+#: SAPLA variants of the DESIGN.md ablation: the paper's O(1) bounds swapped
+#: for exact deviations, the endpoint-movement stage dropped, and splitting
+#: at the largest deviation instead of scanning for the best split point
+_SAPLA_VARIANTS = {
+    "exact_bounds": dict(bound_mode="exact"),
+    "no_endpoint_stage": dict(refine_endpoints=False),
+    "peak_split": dict(split_mode="peak"),
+}
+
+
+def run_reduction(trial: TrialSpec) -> "Dict[str, float]":
+    """Reduction quality and cost per series.
+
+    Metrics: ``reduce_ms``, the mean milliseconds one series takes to
+    reduce, and — for every method but SAX, whose time alone the paper
+    reports — ``max_deviation``, the mean over series of the largest
+    pointwise gap between a series and its reconstruction.  SAPLA cells
+    add ``max_deviation.<variant>`` for each ablation variant
+    (``exact_bounds``, ``no_endpoint_stage``, ``peak_split``).
+    """
+    data, _ = make_trial_data(trial)
+    metrics = _shared_result("reduction", trial, data, lambda: _reduction_metrics(trial, data))
+    return dict(metrics)
+
+
+def _reduction_metrics(trial: TrialSpec, data: np.ndarray) -> "Dict[str, float]":
+    representations, per_row_s = _reduce(trial, data)
+    metrics = {"reduce_ms": per_row_s * 1e3}
+    method = trial.reducer.method
+    if method != "SAX":
+        reducer = _reducer(trial)
+        deviations = [
+            max_deviation(row, reducer.reconstruct(r)) for row, r in zip(data, representations)
+        ]
+        metrics["max_deviation"] = float(np.mean(deviations))
+    if method == "SAPLA":
+        for variant, options in _SAPLA_VARIANTS.items():
+            pipeline = SAPLA(n_coefficients=trial.reducer.coefficients, **options)
+            deviations = [max_deviation(row, pipeline.transform(row).reconstruct()) for row in data]
+            metrics[f"max_deviation.{variant}"] = float(np.mean(deviations))
     return metrics
 
 
@@ -482,6 +670,7 @@ WORKLOADS: "Dict[str, Callable[[TrialSpec], Dict[str, float]]]" = {
     "batch_knn": run_batch_knn,
     "ingest": run_ingest,
     "pruning": run_pruning,
+    "reduction": run_reduction,
     "serving": run_serving,
     "continuous": run_continuous,
 }
@@ -492,6 +681,7 @@ _SUPPORTED_INDEXES = {
     "batch_knn": (IndexKind.NONE, IndexKind.DBCH, IndexKind.RTREE),
     "ingest": (IndexKind.DBCH, IndexKind.RTREE),
     "pruning": (IndexKind.NONE, IndexKind.DBCH, IndexKind.RTREE),
+    "reduction": (IndexKind.NONE,),
     "serving": (IndexKind.NONE, IndexKind.DBCH, IndexKind.RTREE),
     "continuous": (IndexKind.NONE, IndexKind.DBCH, IndexKind.RTREE),
 }

@@ -144,7 +144,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "cli.subscribe": (SPAN, "whole `repro subscribe` command"),
     "cli.serve": (SPAN, "whole `repro serve` command (bind to shutdown)"),
     "cli.shard": (SPAN, "whole `repro shard` command"),
-    "cli.experiment": (SPAN, "whole `repro experiment` command"),
     "cli.ingest": (SPAN, "whole `repro ingest` command"),
     "cli.checkpoint": (SPAN, "whole `repro checkpoint` command"),
     "cli.compact": (SPAN, "whole `repro compact` command"),
@@ -152,7 +151,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     "lifecycle.recover": (SPAN, "replay committed WAL records into a reopened database"),
     "lifecycle.checkpoint": (SPAN, "persist state and truncate the WAL"),
     "lifecycle.compact": (SPAN, "rewrite rows dropping tombstones and rebuild the index"),
-    "bench.run": (SPAN, "whole instrumented benchmark pass"),
     "experiments.run": (SPAN, "whole experiment-matrix execution"),
     "experiments.trial": (SPAN, "one recorded trial of an experiment matrix"),
     "db.ingest": (SPAN, "reduce + index every row of a collection"),

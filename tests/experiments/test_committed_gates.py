@@ -29,7 +29,7 @@ def tripped(name: str, **metrics) -> "list[str]":
     return sorted({v.rule.metric for v in evaluate_gates(spec, baseline, current)})
 
 
-@pytest.mark.parametrize("name", ["batch_knn", "ingest", "serving", "continuous"])
+@pytest.mark.parametrize("name", ["batch_knn", "ingest", "serving", "continuous", "paper"])
 def test_the_baseline_passes_its_own_gates(name):
     assert tripped(name) == []
 
@@ -63,3 +63,12 @@ def test_ingest_fails_when_a_wal_changes_size():
     logged = max(cell["metrics"]["wal_bytes"] for cell in spec_cells)
     assert tripped("ingest", wal_bytes=logged - 1) == ["wal_bytes"]
     assert tripped("ingest", wal_bytes=1.0) == ["wal_bytes"]
+
+
+def test_paper_gates_only_what_repeats_exactly():
+    """A wall-clock gate would fail the ten-minute run on a noisy machine;
+    the paper spec gates deviations, pruning, accuracy and tree size."""
+    spec = load_spec(REPO / "benchmarks" / "specs" / "paper.toml")
+    assert [r.metric for r in spec.gates if r.metric.endswith(("_ms", "_s", "qps"))] == []
+    assert tripped("paper", accuracy=0.99) == ["accuracy"]
+    assert tripped("paper", total_nodes=1e6) == ["total_nodes"]

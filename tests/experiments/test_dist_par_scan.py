@@ -1,18 +1,22 @@
-"""The DBCH ablation's Dist_PAR row: a filter-and-refine scan outside the engine.
+"""The pruning family's Dist_PAR columns: a scan outside the engine.
 
 No database answers with Dist_PAR any more, so :func:`dist_par_scan`
-carries the as-published bound for the ablation.  Its ids and verification
-counts are pinned to what a SAPLA-8 scan gave while Dist_PAR was still a
-database query bound (commit 8a63e23, ``distance_mode="par"``, ``k = 4``),
-on the rows of the default-bound regression test, seed 3.
+carries the as-published bound for the ``par_*`` metrics of the
+``pruning`` family.  Its ids and verification counts are pinned to what
+a SAPLA-8 scan gave while Dist_PAR was still a database query bound
+(commit 8a63e23, ``distance_mode="par"``, ``k = 4``), on the rows of the
+default-bound regression test, seed 3.
 """
 
 import numpy as np
+import pytest
 
-from repro.bench.experiments import dist_par_scan
+from repro.experiments.workloads import dist_par_scan
 from repro.index import SeriesDatabase
 from repro.reduction import SAPLAReducer
 from tests.client.test_default_bound import _rows
+
+pytestmark = pytest.mark.experiments
 
 #: (ids, n_verified) per query of seed 3
 PINNED = [

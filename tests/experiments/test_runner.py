@@ -13,6 +13,7 @@ from repro.experiments import (
     load_bench,
     run_experiment,
     run_trial,
+    summarise_cells,
 )
 from repro.experiments.workloads import WORKLOADS
 from repro.kinds import IndexKind
@@ -54,6 +55,19 @@ class TestRunTrial:
         assert 0.0 <= derived["pruning_power"] <= 1.0
         assert 0.0 <= derived["accuracy"] <= 1.0
         assert 0.0 < derived["verified_ratio"] <= 1.0
+
+
+class TestSummariseCells:
+    def test_one_wrong_repeat_fails_the_cell(self, tiny_spec):
+        """Three repeats, one of which served a wrong answer: the cell reads
+        0, while its timings stay the median over repeats."""
+        cell = expand(tiny_spec)[0].cell_key
+        (row,) = summarise_cells(
+            tiny_spec,
+            {cell: {"results_identical": [1.0, 0.0, 1.0], "speedup": [2.0, 9.0, 4.0]}},
+        )
+        assert row["repeats"] == 3
+        assert row["metrics"] == {"results_identical": 0.0, "speedup": 4.0}
 
 
 class TestDeriveBoundRatios:

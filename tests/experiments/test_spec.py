@@ -41,6 +41,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="too small"):
             ScaleSpec("nano", length=4)
 
+    def test_unknown_archive_dataset_refused_when_the_spec_loads(self):
+        with pytest.raises(ValueError, match="unknown archive dataset 'Adiak'"):
+            spec_from_dict({"name": "x", "scales": [{"name": "a", "dataset": "Adiak"}]})
+
     def test_engine_fsync_policy_checked(self):
         with pytest.raises(ValueError, match="fsync"):
             EngineSpec(fsync="sometimes")

@@ -5,7 +5,7 @@ import pytest
 from repro.continuous.watches import RangeEvaluation
 from repro.experiments import EngineSpec, ReducerSpec, ScaleSpec, TrialSpec
 from repro.experiments import workloads
-from repro.experiments.workloads import make_trial_data, run_continuous, run_pruning
+from repro.experiments.workloads import make_trial_data, run_batch_knn, run_continuous
 from repro.index import SeriesDatabase
 from repro.kinds import IndexKind
 from repro.reduction import REDUCERS
@@ -36,13 +36,13 @@ def test_dbch_trial_measures_the_bulk_packed_tree(monkeypatch):
 
     monkeypatch.setattr(workloads, "SeriesDatabase", Recording)
     trial = _trial(
-        "pruning",
+        "batch_knn",
         ScaleSpec("t", length=32, n_series=64, n_queries=2),
         ReducerSpec("SAPLA", 6),
         IndexKind.DBCH,
         EngineSpec(k=2),
     )
-    run_pruning(trial)
+    run_batch_knn(trial)
 
     data, _ = make_trial_data(trial)
     packed = SeriesDatabase(REDUCERS["SAPLA"](n_coefficients=6), index=IndexKind.DBCH)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.experiments import dist_par_scan
+from repro.experiments.workloads import dist_par_scan
 from repro.distance import dist_ae
 from repro.index import KNNResult, SeriesDatabase
 from repro.index.knn import TopK

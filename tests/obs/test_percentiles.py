@@ -101,7 +101,7 @@ class TestTrialMetricsContract:
             obs.count("knn.queries", 3)
             obs.gauge_set("shard.count", 2.0)
             obs.observe("knn.verified_per_query", 5.0)
-            with obs.span("bench.run"):
+            with obs.span("experiments.trial"):
                 pass
             report = RunReport.collect()
         rows = report.trial_metrics()
@@ -113,5 +113,5 @@ class TestTrialMetricsContract:
         for field in RunReport.HISTOGRAM_FIELDS:
             assert by_name[f"knn.verified_per_query/{field}"]["kind"] == "histogram"
         assert by_name["knn.verified_per_query/p50"]["value"] == 5.0
-        assert by_name["bench.run/calls"]["kind"] == "span"
-        assert by_name["bench.run/calls"]["value"] == 1.0
+        assert by_name["experiments.trial/calls"]["kind"] == "span"
+        assert by_name["experiments.trial/calls"]["value"] == 1.0

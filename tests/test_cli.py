@@ -120,35 +120,39 @@ class TestReduceReconstruct:
 
 
 class TestExperiments:
-    @pytest.mark.parametrize("which", ["fig1", "ablation-dbch"])
-    def test_quick_experiments(self, which, capsys):
-        code = main(
-            [
-                "experiment", which, "--datasets", "Coffee",
-                "--length", "64", "--series", "6", "--queries", "1",
-                "--ks", "2",
-            ]
-        )
-        assert code == 0
-        assert "---" in capsys.readouterr().out
+    """A paper figure is one workload family of ``experiment run``."""
 
-    def test_fig12_small(self, capsys):
-        code = main(
-            [
-                "experiment", "fig12", "--datasets", "Coffee", "Wafer",
-                "--length", "64", "--series", "4", "--queries", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "max_deviation" in out
+    SPEC = """
+name = "clifigure"
+workloads = ["{workload}"]
+indexes = ["none", "dbch"]
 
-    def test_fig13_small(self, capsys):
+[[scales]]
+name = "Coffee"
+dataset = "Coffee"
+length = 64
+n_series = 6
+n_queries = 1
+
+[[reducers]]
+method = "SAPLA"
+
+[[engines]]
+k = 2
+"""
+
+    def _run(self, workload, tmp_path, capsys):
+        spec = tmp_path / "clifigure.toml"
+        spec.write_text(self.SPEC.format(workload=workload))
         code = main(
-            [
-                "experiment", "fig13", "--datasets", "Coffee",
-                "--length", "64", "--series", "6", "--queries", "1", "--ks", "2",
-            ]
+            ["experiment", "run", str(spec), "--store", str(tmp_path / "s.sqlite"),
+             "--bench-dir", str(tmp_path)]
         )
         assert code == 0
-        assert "pruning_power" in capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def test_fig12_small(self, tmp_path, capsys):
+        assert "max_deviation" in self._run("reduction", tmp_path, capsys)
+
+    def test_fig13_small(self, tmp_path, capsys):
+        assert "pruning_power" in self._run("pruning", tmp_path, capsys)

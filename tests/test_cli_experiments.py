@@ -1,43 +1,71 @@
-"""CLI coverage for the remaining experiment subcommands."""
+"""CLI coverage of the paper's figures: ``experiment run`` on a tiny spec.
+
+The figures are cells of ``benchmarks/specs/paper.toml``; this runs the
+same two families on one small archive dataset through the CLI and checks
+that every figure's metric reaches the printed tables.
+"""
+
+import contextlib
+import io
 
 import pytest
 
 from repro.cli import main
 
-COMMON = [
-    "--datasets", "Coffee",
-    "--length", "64", "--series", "5", "--queries", "1", "--ks", "2",
-    "--methods", "SAPLA", "PAA",
-]
+SPEC = """
+name = "clifigures"
+workloads = ["reduction", "pruning"]
+indexes = ["none", "dbch"]
+
+[[scales]]
+name = "Coffee"
+dataset = "Coffee"
+length = 64
+n_series = 5
+n_queries = 1
+
+[[reducers]]
+method = "SAPLA"
+coefficients = 12
+
+[[reducers]]
+method = "PAA"
+coefficients = 12
+
+[[engines]]
+k = 2
+"""
+
+
+@pytest.fixture(scope="module")
+def output(tmp_path_factory):
+    home = tmp_path_factory.mktemp("clifigures")
+    spec = home / "clifigures.toml"
+    spec.write_text(SPEC)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(
+            ["experiment", "run", str(spec), "--store", str(home / "s.sqlite"),
+             "--bench-dir", str(home)]
+        )
+    assert code == 0
+    return printed.getvalue()
 
 
 class TestExperimentPaths:
-    def test_table1(self, capsys):
-        assert main(["experiment", "table1", *COMMON]) == 0
-        assert "reduction_time_s" in capsys.readouterr().out
+    def test_table1(self, output):
+        assert "reduce_ms" in output
 
-    def test_fig14(self, capsys):
-        assert main(["experiment", "fig14", *COMMON]) == 0
-        out = capsys.readouterr().out
-        assert "ingest_time_s" in out
-        assert "LinearScan" in out
+    def test_fig14(self, output):
+        assert "ingest_s" in output
+        assert "linear_scan_ms" in output
 
-    def test_fig15(self, capsys):
-        assert main(["experiment", "fig15", *COMMON]) == 0
-        assert "total_nodes" in capsys.readouterr().out
+    def test_fig15(self, output):
+        assert "total_nodes" in output
 
-    def test_ablation_bounds(self, capsys):
-        assert main(["experiment", "ablation-bounds", *COMMON]) == 0
-        assert "peak-split" in capsys.readouterr().out
+    def test_ablation_bounds(self, output):
+        assert "max_deviation.peak_split" in output
 
-    def test_methods_filter_restricts_rows(self, capsys):
-        assert main(["experiment", "fig12", *COMMON]) == 0
-        out = capsys.readouterr().out
-        assert "SAPLA" in out and "PAA" in out
-        assert "CHEBY" not in out
-
-    def test_fig13_chart_rendered(self, capsys):
-        assert main(["experiment", "fig13", *COMMON]) == 0
-        out = capsys.readouterr().out
-        assert "pruning power (lower is better)" in out
-        assert "█" in out
+    def test_methods_filter_restricts_rows(self, output):
+        assert "SAPLA" in output and "PAA" in output
+        assert "CHEBY" not in output
