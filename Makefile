@@ -10,14 +10,15 @@ install:
 test:
 	pytest tests/
 
-# run benchmarks/specs/$(1).toml into a scratch store, then diff it against
-# the committed BENCH_$(1).json: exits non-zero on any violated gate
+# run benchmarks/specs/$(1).toml into a scratch directory, then diff the
+# BENCH file it wrote against the committed BENCH_$(1).json: exits non-zero
+# on any violated gate or vanished gated cell
 define run-spec
-	rm -f /tmp/repro-verify-$(1).sqlite /tmp/BENCH_$(1).json
+	rm -rf /tmp/repro-verify-$(1)
 	PYTHONPATH=src python -m repro experiment run benchmarks/specs/$(1).toml \
-		--store /tmp/repro-verify-$(1).sqlite --bench-dir /tmp
+		--bench-dir /tmp/repro-verify-$(1)
 	PYTHONPATH=src python -m repro experiment diff benchmarks/specs/$(1).toml \
-		--store /tmp/repro-verify-$(1).sqlite --baseline BENCH_$(1).json
+		--baseline BENCH_$(1).json --current /tmp/repro-verify-$(1)/BENCH_$(1).json
 endef
 
 # observability layer: marker-selected tests + the metric-name lint
@@ -49,19 +50,18 @@ crash-matrix:
 
 # experiment service: lint + the reachability check + its tests (a committed
 # BENCH_*.json whose spec no longer parses fails them) + a tiny end-to-end
-# matrix — run the smoke spec, render its report, then diff it against the
-# BENCH it just wrote (must pass its own gates and exit 0)
+# matrix — run the smoke spec, then diff the BENCH it just wrote against
+# itself (must pass its own gates and exit 0)
 verify-experiments:
 	python scripts/check_metric_names.py
 	python scripts/check_reachable.py
 	PYTHONPATH=src pytest tests/experiments -q
-	rm -f /tmp/repro-verify-experiments.sqlite /tmp/BENCH_smoke.json
+	rm -rf /tmp/repro-verify-experiments
 	PYTHONPATH=src python -m repro experiment run benchmarks/specs/smoke.toml \
-		--store /tmp/repro-verify-experiments.sqlite --bench-dir /tmp
-	PYTHONPATH=src python -m repro experiment report \
-		--store /tmp/repro-verify-experiments.sqlite
+		--bench-dir /tmp/repro-verify-experiments
 	PYTHONPATH=src python -m repro experiment diff benchmarks/specs/smoke.toml \
-		--store /tmp/repro-verify-experiments.sqlite --baseline /tmp/BENCH_smoke.json
+		--baseline /tmp/repro-verify-experiments/BENCH_smoke.json \
+		--current /tmp/repro-verify-experiments/BENCH_smoke.json
 
 # bound cascade + mapped page-file rows: lint + the dominance, mapped-row,
 # bit-identity equivalence and golden-counter tests, then the medium spec
@@ -117,7 +117,7 @@ verify: verify-obs verify-engine verify-lifecycle verify-experiments \
 baseline:
 	for spec in medium batch_knn ingest serving continuous paper; do \
 		PYTHONPATH=src python -m repro experiment run benchmarks/specs/$$spec.toml \
-			--store benchmarks/results/experiments.sqlite --bench-dir . || exit 1; \
+			--bench-dir . || exit 1; \
 	done
 
 # the paper's tables and figures (Table 1, Figs. 12-16, the ablations; about

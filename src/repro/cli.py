@@ -20,12 +20,11 @@ Commands
                  JSON line; see docs/continuous.md
 ``experiment``   drive the experiment service: ``experiment run <spec.toml>``
                  executes a declarative benchmark matrix (the paper's tables
-                 and figures are ``benchmarks/specs/paper.toml``) into an
-                 sqlite results store and writes ``BENCH_<spec>.json``;
-                 ``experiment report`` renders trend tables from the store;
-                 ``experiment diff`` judges the latest run against a committed
-                 baseline with the spec's regression gates (non-zero exit on
-                 violation)
+                 and figures are ``benchmarks/specs/paper.toml``) and writes
+                 its ``BENCH_<spec>.json`` into ``--bench-dir``;
+                 ``experiment diff`` judges one BENCH file (``--current``)
+                 against another (``--baseline``) with the spec's regression
+                 gates (non-zero exit on violation)
 ``stats``        list the metric catalogue or summarise a saved run report
 
 ``knn`` and ``serve`` accept ``--report out.json`` to capture the
@@ -448,30 +447,16 @@ def _cmd_experiment_run(args) -> int:
 
     if not args.spec:
         raise SystemExit("repro experiment run needs a spec file (.toml or .json)")
+    if not args.bench_dir:
+        raise SystemExit("repro experiment run needs --bench-dir DIR")
     spec = exp.load_spec(args.spec)
-    summary = exp.run_experiment(
-        spec, args.store, bench_dir=args.bench_dir, progress=print
-    )
+    summary = exp.run_experiment(spec, args.bench_dir, progress=print)
     _print_cells(summary.cells)
     print(
-        f"\nrecorded experiment {summary.experiment_id} "
-        f"({summary.n_trials} trials, {summary.n_skipped} skipped, "
-        f"{summary.n_failed} failed) into {summary.store_path}"
+        f"\n{summary.n_trials} trials, {summary.n_skipped} skipped, "
+        f"{summary.n_failed} failed; recorded in {summary.bench_path}"
     )
     return 1 if summary.n_failed else 0
-
-
-def _cmd_experiment_report(args) -> int:
-    from . import experiments as exp
-
-    with exp.ResultsStore(args.store) as store:
-        overview = exp.experiment_rows(store)
-        if not overview:
-            raise SystemExit(f"no experiments recorded in {args.store}")
-        print_table(f"experiments in {args.store}", overview)
-        trend = exp.trend_rows(store, metric=args.metric, workload=args.workload)
-        print_table("per-cell metric trend (median over repeats)", trend)
-    return 0
 
 
 def _cmd_experiment_diff(args) -> int:
@@ -479,30 +464,18 @@ def _cmd_experiment_diff(args) -> int:
 
     if not args.spec:
         raise SystemExit("repro experiment diff needs the spec file (for its gates)")
-    if not args.baseline:
-        raise SystemExit("repro experiment diff needs --baseline BENCH_<spec>.json")
+    if not (args.baseline and args.current):
+        raise SystemExit(
+            "repro experiment diff needs --baseline and --current BENCH_<spec>.json"
+        )
     spec = exp.load_spec(args.spec)
-    baseline = exp.load_bench(args.baseline)
-    if args.current:
-        current_cells = exp.load_bench(args.current)["cells"]
-        current_label = args.current
-    else:
-        with exp.ResultsStore(args.store) as store:
-            experiment = store.latest_experiment(spec.name)
-            if experiment is None:
-                raise SystemExit(
-                    f"no {spec.name!r} experiment in {args.store}; run the spec first"
-                )
-            current_cells = exp.summarise_cells(
-                spec, store.cell_metrics(experiment["id"])
-            )
-            current_label = f"{args.store} (experiment {experiment['id']})"
-    rows = exp.diff_cells(spec, baseline["cells"], current_cells)
+    baseline = exp.load_bench(args.baseline)["cells"]
+    current = exp.load_bench(args.current)["cells"]
+    rows, violations = exp.judge(spec, baseline, current)
     print_table(
-        f"gates: {current_label} vs baseline {args.baseline}",
+        f"gates: {args.current} vs baseline {args.baseline}",
         rows or [{"cell": "-", "metric": "-", "verdict": "no gated metrics"}],
     )
-    violations = exp.evaluate_gates(spec, baseline["cells"], current_cells)
     if violations:
         print(f"\n{len(violations)} gate violation(s):")
         for violation in violations:
@@ -515,8 +488,6 @@ def _cmd_experiment_diff(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.which == "run":
         return _cmd_experiment_run(args)
-    if args.which == "report":
-        return _cmd_experiment_report(args)
     return _cmd_experiment_diff(args)
 
 
@@ -676,20 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiment",
-        help="drive the experiment service (run <spec> / report / diff)",
+        help="drive the experiment service (run <spec> / diff <spec>)",
     )
-    p.add_argument("which", choices=("run", "report", "diff"))
+    p.add_argument("which", choices=("run", "diff"))
     p.add_argument(
         "spec", nargs="?", default=None,
-        help="experiment spec file (.toml/.json) for the run/diff subcommands",
+        help="experiment spec file (.toml/.json): its matrix for 'run', its gates for 'diff'",
     )
     p.add_argument(
-        "--store", default="experiments.sqlite", metavar="DB",
-        help="sqlite results store for run/report/diff",
-    )
-    p.add_argument(
-        "--bench-dir", default=".", metavar="DIR",
-        help="where 'run' writes its BENCH_<spec>.json trajectory summary",
+        "--bench-dir", default=None, metavar="DIR",
+        help="where 'run' writes its BENCH_<spec>.json record",
     )
     p.add_argument(
         "--baseline", default=None, metavar="BENCH.json",
@@ -697,15 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--current", default=None, metavar="BENCH.json",
-        help="trajectory file to judge; defaults to the store's latest run of the spec",
-    )
-    p.add_argument(
-        "--metric", default=None,
-        help="substring filter on metric names in 'report' trend tables",
-    )
-    p.add_argument(
-        "--workload", default=None,
-        help="workload-family filter in 'report' trend tables",
+        help="BENCH file 'diff' judges against the baseline",
     )
     p.set_defaults(func=_cmd_experiment)
 

@@ -3,21 +3,20 @@
 The benchmark matrix as data: frozen :class:`ExperimentSpec` dataclasses
 (loadable from TOML/JSON) describe workload family x dataset scale x
 reducer x index kind x engine options; :func:`run_experiment` executes the
-matrix with warmup/repeat control, records every trial (derived metrics
-plus the full obs RunReport) into a stdlib-sqlite3 :class:`ResultsStore`,
-and writes a ``BENCH_<spec>.json`` trajectory summary; :func:`evaluate_gates`
-judges a run against the last committed baseline with the spec's threshold
-rules.  ``repro experiment run/report/diff`` is the CLI surface.
+matrix with warmup/repeat control and writes the per-cell medians into
+``BENCH_<spec>.json``, the run's only record; :func:`judge` compares two
+such files with the spec's threshold rules.  ``repro experiment run/diff``
+is the CLI surface.
 """
 
 from __future__ import annotations
 
-from .gates import GateViolation, diff_cells, evaluate_gates
-from .report import experiment_rows, trend_rows
+from .gates import GateViolation, diff_cells, evaluate_gates, judge
 from .runner import (
     BENCH_SCHEMA_VERSION,
     RunSummary,
     derive_bound_ratios,
+    environment_facts,
     load_bench,
     run_experiment,
     run_trial,
@@ -37,12 +36,10 @@ from .spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from .store import STORE_SCHEMA_VERSION, ResultsStore, environment_facts
 from .workloads import WORKLOADS, make_trial_data, run_workload, supports
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
     "WORKLOAD_FAMILIES",
     "WORKLOADS",
     "EngineSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "GateRule",
     "GateViolation",
     "ReducerSpec",
-    "ResultsStore",
     "RunSummary",
     "ScaleSpec",
     "TrialSpec",
@@ -59,7 +55,7 @@ __all__ = [
     "environment_facts",
     "evaluate_gates",
     "expand",
-    "experiment_rows",
+    "judge",
     "load_bench",
     "load_spec",
     "make_trial_data",
@@ -70,6 +66,5 @@ __all__ = [
     "spec_to_dict",
     "summarise_cells",
     "supports",
-    "trend_rows",
     "write_bench",
 ]

@@ -1,19 +1,21 @@
-"""The experiment runner: spec -> trials -> store -> ``BENCH_<spec>.json``.
+"""The experiment runner: spec -> trials -> ``BENCH_<spec>.json``.
 
 :func:`run_experiment` expands a spec's matrix, executes every supported
 trial with warmup/repeat control, captures a schema-versioned RunReport per
 trial (metrics registry + span tree swapped in around the workload call, so
-trials never contaminate each other or the caller), records each trial into
-the :class:`repro.experiments.ResultsStore`, and finally writes the
-``BENCH_<spec>.json`` trajectory summary — per-cell medians of the derived
-metrics plus pruning-counter ratios (the worst repeat of a pass/fail
-metric) — at the chosen root.
+trials never contaminate each other or the caller), keeps each cell's
+per-repeat derived metrics, and finally writes the ``BENCH_<spec>.json``
+record — per-cell medians of the derived metrics plus pruning-counter
+ratios (the worst repeat of a pass/fail metric) — into the chosen
+directory.  That file is the run's only record.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -22,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Union
 from .. import obs
 from ..obs.report import RunReport
 from .spec import ExperimentSpec, TrialSpec, expand, spec_to_dict
-from .store import ResultsStore, environment_facts
 from .workloads import run_workload, supports
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "summarise_cells",
     "write_bench",
     "load_bench",
+    "environment_facts",
 ]
 
 #: schema tag of the ``BENCH_<spec>.json`` trajectory files
@@ -47,8 +49,6 @@ class RunSummary:
     """What one matrix execution produced (returned by :func:`run_experiment`)."""
 
     spec: ExperimentSpec
-    experiment_id: int
-    store_path: pathlib.Path
     bench_path: "Optional[pathlib.Path]"
     cells: "List[Dict]" = field(default_factory=list)
     n_trials: int = 0
@@ -144,63 +144,51 @@ def summarise_cells(
 
 def run_experiment(
     spec: ExperimentSpec,
-    store_path: PathLike,
-    bench_dir: "Optional[PathLike]" = ".",
+    bench_dir: "Optional[PathLike]",
     progress: "Optional[Callable[[str], None]]" = None,
 ) -> RunSummary:
-    """Execute the spec's matrix end to end; see the module docstring."""
+    """Execute the spec's matrix end to end and write its BENCH file into
+    ``bench_dir`` (``None`` writes nothing); see the module docstring."""
     say = progress or (lambda message: None)
     started = time.perf_counter()
     trials = expand(spec)
-    summary: "Optional[RunSummary]" = None
-    with ResultsStore(store_path) as store:
-        experiment_id = store.create_experiment(spec)
-        say(
-            f"experiment {spec.name!r} (id {experiment_id}): "
-            f"{len(trials)} trials over {len(trials) // spec.repeats} cells"
-        )
-        n_ok = n_failed = n_skipped = 0
-        with obs.span("experiments.run"):
-            for trial in trials:
-                if not supports(trial):
-                    n_skipped += 1
-                    obs.count("experiments.trials_skipped")
-                    continue
-                for _ in range(spec.warmup if trial.repeat == 0 else 0):
-                    run_workload(trial)
-                try:
-                    derived, report, elapsed = run_trial(trial)
-                except Exception as exc:  # record the failure, keep the matrix going
-                    n_failed += 1
-                    obs.count("experiments.trial_failures")
-                    say(f"  trial {trial.index} ({trial.cell_key}) FAILED: {exc}")
-                    store.record_trial(
-                        experiment_id,
-                        trial,
-                        RunReport.collect(meta={"error": str(exc), **trial.axes()}),
-                        {},
-                        status="failed",
-                    )
-                    continue
-                n_ok += 1
-                obs.count("experiments.trials")
-                obs.observe("experiments.trial_wall_s", elapsed)
-                store.record_trial(
-                    experiment_id, trial, report, derived, elapsed_s=elapsed
-                )
-                say(f"  trial {trial.index} ({trial.cell_key}) {elapsed:.2f}s")
-        cells = summarise_cells(spec, store.cell_metrics(experiment_id))
-        summary = RunSummary(
-            spec=spec,
-            experiment_id=experiment_id,
-            store_path=pathlib.Path(store_path),
-            bench_path=None,
-            cells=cells,
-            n_trials=n_ok,
-            n_skipped=n_skipped,
-            n_failed=n_failed,
-            elapsed_s=time.perf_counter() - started,
-        )
+    say(
+        f"experiment {spec.name!r}: "
+        f"{len(trials)} trials over {len(trials) // spec.repeats} cells"
+    )
+    per_cell: "Dict[str, Dict[str, List[float]]]" = {}
+    n_ok = n_failed = n_skipped = 0
+    with obs.span("experiments.run"):
+        for trial in trials:
+            if not supports(trial):
+                n_skipped += 1
+                obs.count("experiments.trials_skipped")
+                continue
+            for _ in range(spec.warmup if trial.repeat == 0 else 0):
+                run_workload(trial)
+            try:
+                derived, _, elapsed = run_trial(trial)
+            except Exception as exc:  # report the failure, keep the matrix going
+                n_failed += 1
+                obs.count("experiments.trial_failures")
+                say(f"  trial {trial.index} ({trial.cell_key}) FAILED: {exc}")
+                continue
+            n_ok += 1
+            obs.count("experiments.trials")
+            obs.observe("experiments.trial_wall_s", elapsed)
+            series = per_cell.setdefault(trial.cell_key, {})
+            for name, value in derived.items():
+                series.setdefault(name, []).append(float(value))
+            say(f"  trial {trial.index} ({trial.cell_key}) {elapsed:.2f}s")
+    summary = RunSummary(
+        spec=spec,
+        bench_path=None,
+        cells=summarise_cells(spec, per_cell),
+        n_trials=n_ok,
+        n_skipped=n_skipped,
+        n_failed=n_failed,
+        elapsed_s=time.perf_counter() - started,
+    )
     if bench_dir is not None:
         summary.bench_path = write_bench(summary, bench_dir)
         say(f"wrote {summary.bench_path}")
@@ -210,13 +198,26 @@ def run_experiment(
 # ----------------------------------------------------------------------
 # BENCH_<spec>.json trajectory files
 # ----------------------------------------------------------------------
+def environment_facts() -> "Dict[str, object]":
+    """Interpreter and platform facts written into every BENCH header, so a
+    regression can be told apart from a machine change."""
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count() or 1,
+    }
+
+
 def write_bench(summary: RunSummary, bench_dir: PathLike) -> pathlib.Path:
     """Write the run's ``BENCH_<spec>.json`` trajectory summary, creating
     ``bench_dir`` if it does not exist yet."""
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
         "spec": spec_to_dict(summary.spec),
-        "experiment_id": summary.experiment_id,
         "created_unix": time.time(),
         "environment": environment_facts(),
         "n_trials": summary.n_trials,
@@ -232,7 +233,10 @@ def write_bench(summary: RunSummary, bench_dir: PathLike) -> pathlib.Path:
 
 
 def load_bench(path: PathLike) -> dict:
-    """Read a ``BENCH_<spec>.json`` file back, checking its schema tag."""
+    """Read a ``BENCH_<spec>.json`` file back, checking its schema tag.
+
+    Older committed files also carry an ``experiment_id`` key; nothing
+    reads it."""
     payload = json.loads(pathlib.Path(path).read_text())
     if payload.get("schema") != BENCH_SCHEMA_VERSION:
         raise ValueError(

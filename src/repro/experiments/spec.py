@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..data import DATASETS
+from ..engine import ExecutionMode
 from ..kinds import IndexKind
+from ..reduction import REDUCERS
 
 __all__ = [
     "WORKLOAD_FAMILIES",
@@ -76,6 +78,8 @@ class ScaleSpec:
     def __post_init__(self):
         if self.length < 8 or self.n_series < 4 or self.n_queries < 1:
             raise ValueError(f"scale {self.name!r} is too small to measure")
+        if self.n_inserts < 0:
+            raise ValueError("n_inserts must be >= 0")
         if self.n_inflight < 0:
             raise ValueError("n_inflight must be >= 0")
         if self.n_subscriptions < 0:
@@ -94,6 +98,10 @@ class ReducerSpec:
     coefficients: int = 12
 
     def __post_init__(self):
+        if self.method not in REDUCERS:
+            raise ValueError(
+                f"unknown reducer method {self.method!r} (known: {sorted(REDUCERS)})"
+            )
         if self.coefficients < 2:
             raise ValueError("coefficients must be >= 2")
 
@@ -124,8 +132,13 @@ class EngineSpec:
     def __post_init__(self):
         if self.k < 1 or self.lookahead < 1:
             raise ValueError("k and lookahead must be >= 1")
+        modes = [mode.value for mode in ExecutionMode]
+        if self.mode not in modes:
+            raise ValueError(f"unknown engine mode {self.mode!r} (known: {modes})")
         if self.fsync not in ("always", "batch", "never", "off"):
             raise ValueError(f"unknown fsync policy {self.fsync!r}")
+        if self.fsync_batch < 1:
+            raise ValueError("fsync_batch must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
 
@@ -219,7 +232,7 @@ class TrialSpec:
         )
 
     def axes(self) -> "Dict[str, object]":
-        """Flat axis columns for store rows and report metadata."""
+        """Flat axis columns for BENCH cells and report metadata."""
         return {
             "workload": self.workload,
             "scale": self.scale.name,

@@ -5,7 +5,7 @@ flat ``{metric_name: float}`` dict of derived measurements.  The functions
 are deliberately observation-free of side effects: the *caller* (the
 experiment runner) owns the obs capture around the call, so the same
 measurement code produces both the derived metrics and the RunReport
-counters/spans a trial row stores.
+counters the pruning ratios are derived from.
 
 Inputs are seeded random walks generated from the trial seed, or a named
 dataset of the synthetic archive — same spec, same data, bit-identical

@@ -133,8 +133,8 @@ class RunReport:
         Histogram *display* is unit-normalized: seconds-valued histograms
         (``*_s`` names, excluding ``*_per_s`` rates) render in milliseconds
         under a ``*_ms`` metric name, so every duration percentile in the
-        table reads in the same unit.  Stored names and values (and the
-        :meth:`trial_metrics` ingest contract) are untouched.
+        table reads in the same unit.  Stored names and values are
+        untouched.
         """
         rows: "List[Dict[str, object]]" = []
         for name, value in sorted(self.counters.items()):
@@ -153,50 +153,4 @@ class RunReport:
                     f" p99={h['p99'] * scale:.4g}"
                 )
             rows.append({"metric": shown, "kind": "histogram", "value": text})
-        return rows
-
-    # ------------------------------------------------------------------
-    # trial-ingest API (stable contract for repro.experiments.store)
-    # ------------------------------------------------------------------
-    #: histogram summary fields flattened by :meth:`trial_metrics`, in order
-    HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
-
-    def trial_metrics(self) -> "List[Dict[str, object]]":
-        """Every metric of this report as flat scalar rows, deterministically
-        ordered — the stable ingest contract for the experiment results store.
-
-        Each row is ``{"name", "kind", "value"}``:
-
-        * counters/gauges keep their catalogued name and kind;
-        * histograms flatten to ``<name>/<field>`` rows (``kind="histogram"``)
-          for every :data:`HISTOGRAM_FIELDS` entry present in the report;
-        * spans flatten the tree to ``<path>/wall_s|cpu_s|calls`` rows
-          (``kind="span"``) where ``path`` joins nested span names with ``.``.
-
-        Rows are sorted by kind then name, so identical reports always ingest
-        into identical table contents regardless of collection order.
-        """
-        rows: "List[Dict[str, object]]" = []
-        for name, value in self.counters.items():
-            rows.append({"name": name, "kind": "counter", "value": float(value)})
-        for name, value in self.gauges.items():
-            rows.append({"name": name, "kind": "gauge", "value": float(value)})
-        for name, h in self.histograms.items():
-            for fld in self.HISTOGRAM_FIELDS:
-                if fld in h:
-                    rows.append(
-                        {"name": f"{name}/{fld}", "kind": "histogram", "value": float(h[fld])}
-                    )
-
-        def walk(nodes, prefix: str) -> None:
-            for node in nodes:
-                path = f"{prefix}{node['name']}"
-                for fld in ("wall_s", "cpu_s", "calls"):
-                    rows.append(
-                        {"name": f"{path}/{fld}", "kind": "span", "value": float(node[fld])}
-                    )
-                walk(node.get("children", ()), f"{path}.")
-
-        walk(self.spans, "")
-        rows.sort(key=lambda r: (r["kind"], r["name"]))
         return rows

@@ -1,6 +1,6 @@
 """CLI surface plus the acceptance path: an injected slowdown must land in
-the sqlite store and make ``repro experiment diff`` exit non-zero naming the
-violated threshold, while an unmodified run passes the same gates."""
+the run's BENCH file and make ``repro experiment diff`` exit non-zero naming
+the violated threshold, while an unmodified run passes the same gates."""
 
 import itertools
 import json
@@ -9,7 +9,7 @@ import types
 import pytest
 
 from repro.cli import main
-from repro.experiments import ResultsStore, load_bench, spec_to_dict
+from repro.experiments import load_bench, spec_to_dict
 from repro.experiments.workloads import WORKLOADS
 
 pytestmark = pytest.mark.experiments
@@ -27,9 +27,7 @@ def run_spec(spec_file, tmp_path, bench_subdir):
     bench_dir.mkdir(exist_ok=True)
     code = main(
         [
-            "experiment", "run", str(spec_file),
-            "--store", str(tmp_path / "store.sqlite"),
-            "--bench-dir", str(bench_dir),
+            "experiment", "run", str(spec_file), "--bench-dir", str(bench_dir),
         ]
     )
     assert code == 0
@@ -41,7 +39,7 @@ class TestCLI:
         bench_path = run_spec(spec_file, tmp_path, "base")
         out = capsys.readouterr().out
         assert "batch_knn cells" in out and "pruning cells" in out
-        assert "recorded experiment" in out
+        assert "4 trials, 0 skipped, 0 failed; recorded in" in out
         payload = load_bench(bench_path)
         assert payload["n_trials"] == 4
 
@@ -49,33 +47,32 @@ class TestCLI:
         bench_dir = tmp_path / "not" / "yet"
         code = main(
             [
-                "experiment", "run", str(spec_file),
-                "--store", str(tmp_path / "store.sqlite"),
-                "--bench-dir", str(bench_dir),
+                "experiment", "run", str(spec_file), "--bench-dir", str(bench_dir),
             ]
         )
         assert code == 0
         assert load_bench(bench_dir / "BENCH_tinyspec.json")["n_trials"] == 4
 
-    def test_report_renders_trend(self, spec_file, tmp_path, capsys):
-        run_spec(spec_file, tmp_path, "base")
-        code = main(
-            ["experiment", "report", "--store", str(tmp_path / "store.sqlite"),
-             "--metric", "latency"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "experiments in" in out
-        assert "latency_p50_ms" in out
-        assert "run1" in out
-
     def test_run_without_spec_exits(self):
         with pytest.raises(SystemExit, match="needs a spec file"):
             main(["experiment", "run"])
 
+    def test_run_without_bench_dir_exits(self, spec_file):
+        with pytest.raises(SystemExit, match="--bench-dir"):
+            main(["experiment", "run", str(spec_file)])
+
     def test_diff_without_baseline_exits(self, spec_file):
         with pytest.raises(SystemExit, match="--baseline"):
             main(["experiment", "diff", str(spec_file)])
+
+    def test_diff_without_current_exits(self, spec_file):
+        with pytest.raises(SystemExit, match="--current"):
+            main(["experiment", "diff", str(spec_file), "--baseline", "BENCH_tinyspec.json"])
+
+    def test_only_run_and_diff(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "report"])
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -100,8 +97,7 @@ class TestRegressionGate:
         assert load_bench(current)["cells"] == load_bench(baseline)["cells"]
         code = main(
             ["experiment", "diff", str(spec_file),
-             "--store", str(tmp_path / "store.sqlite"),
-             "--baseline", str(baseline)]
+             "--baseline", str(baseline), "--current", str(current)]
         )
         assert code == 0
         assert "all gates pass" in capsys.readouterr().out
@@ -120,20 +116,20 @@ class TestRegressionGate:
             return metrics
 
         monkeypatch.setitem(WORKLOADS, "batch_knn", degraded)
-        run_spec(spec_file, tmp_path, "current")
+        current = run_spec(spec_file, tmp_path, "current")
 
-        # the degraded trials are real rows in the sqlite store
-        with ResultsStore(tmp_path / "store.sqlite") as store:
-            experiment = store.latest_experiment("tinyspec")
-            trials = store.trials(experiment["id"])
-            assert len(trials) == 4
-            degraded_metrics = store.trial_metrics(trials[0]["id"])
-            assert degraded_metrics["latency_p50_ms"] > 0.0
+        # the degraded value is what the current BENCH file records
+        key = "batch_knn|tiny|PAA-4|none|k2-auto"
+        before, after = (
+            {c["cell"]: c for c in load_bench(path)["cells"]}[key]["metrics"]
+            for path in (baseline, current)
+        )
+        assert before["latency_p50_ms"] > 0.0
+        assert after["latency_p50_ms"] == pytest.approx(10.0 * before["latency_p50_ms"])
 
         code = main(
             ["experiment", "diff", str(spec_file),
-             "--store", str(tmp_path / "store.sqlite"),
-             "--baseline", str(baseline)]
+             "--baseline", str(baseline), "--current", str(current)]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -147,9 +143,25 @@ class TestRegressionGate:
         baseline = run_spec(spec_file, tmp_path, "base")
         code = main(
             ["experiment", "diff", str(spec_file),
-             "--store", str(tmp_path / "store.sqlite"),
              "--baseline", str(baseline),
              "--current", str(baseline)]  # a run never regresses against itself
         )
         assert code == 0
         assert "all gates pass" in capsys.readouterr().out
+
+    def test_vanished_cell_fails_the_diff(self, spec_file, tmp_path, capsys):
+        """A gated baseline cell that the current run no longer has (say a
+        ``supports()`` change now skips it) is a violation, not a pass."""
+        baseline = run_spec(spec_file, tmp_path, "base")
+        payload = load_bench(baseline)
+        payload["cells"] = [c for c in payload["cells"] if c["workload"] != "pruning"]
+        current = tmp_path / "BENCH_vanished.json"
+        current.write_text(json.dumps(payload))
+        code = main(
+            ["experiment", "diff", str(spec_file),
+             "--baseline", str(baseline), "--current", str(current)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "pruning|tiny|PAA-4|none|k2-auto: verified_ratio" in out
+        assert "missing from the current run" in out

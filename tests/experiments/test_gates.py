@@ -8,6 +8,7 @@ from repro.experiments import (
     ReducerSpec,
     diff_cells,
     evaluate_gates,
+    judge,
 )
 
 from .conftest import TINY_SCALE
@@ -70,6 +71,20 @@ class TestEvaluateGates:
         # metric absent from the baseline cell
         assert not evaluate_gates(spec, [cell(other=1.0)], [cell(speedup=1.0)])
 
+    def test_vanished_cell_is_a_violation(self):
+        """A gated baseline cell the current run lacks fails the gates."""
+        spec = spec_with(GateRule("speedup", 5.0, "decrease"))
+        (violation,) = evaluate_gates(spec, [cell(speedup=4.0)], [])
+        assert violation.current is None and violation.change_pct is None
+        assert violation.describe() == (
+            "batch_knn|tiny|PAA-4|none|k2-auto: speedup 4 -> missing from the current run"
+        )
+        # so does a gated metric the current cell no longer reports
+        assert evaluate_gates(spec, [cell(speedup=4.0)], [cell(other=1.0)])
+        # a rule that does not apply to the cell's workload gates nothing
+        pruning_only = spec_with(GateRule("speedup", 5.0, "decrease", workload="pruning"))
+        assert not evaluate_gates(pruning_only, [cell(speedup=4.0)], [])
+
     def test_zero_baseline(self):
         spec = spec_with(GateRule("speedup", 5.0, "increase"))
         assert evaluate_gates(spec, [cell(speedup=0.0)], [cell(speedup=1.0)])
@@ -92,6 +107,18 @@ class TestDiffCells:
         assert by[("batch_knn|tiny|PAA-4|none|k2-auto", "latency_p50_ms")]["verdict"] == "FAIL"
         assert by[("batch_knn|tiny|PAA-4|none|k2-auto", "speedup")]["verdict"] == "ok"
         assert by[("new|cell", "latency_p50_ms")]["verdict"] == "new"
+
+    def test_missing_rows_follow_the_current_cells(self):
+        spec = spec_with(GateRule("speedup", 10.0, "decrease"))
+        baseline = [cell(key="gone|cell", speedup=2.0), cell(speedup=4.0)]
+        rows, violations = judge(spec, baseline, [cell(speedup=4.0)])
+        assert [(r["cell"], r["verdict"]) for r in rows] == [
+            ("batch_knn|tiny|PAA-4|none|k2-auto", "ok"),
+            ("gone|cell", "missing"),
+        ]
+        assert rows[1]["baseline"] == 2.0 and rows[1]["current"] == "-"
+        assert [v.cell for v in violations] == ["gone|cell"]
+        assert rows == diff_cells(spec, baseline, [cell(speedup=4.0)])
 
 
 class TestUnitNormalizedDisplay:

@@ -38,10 +38,8 @@ SPEC = ExperimentSpec(
 
 
 @pytest.fixture(scope="module")
-def cells(tmp_path_factory):
-    summary = run_experiment(
-        SPEC, tmp_path_factory.mktemp("shapes") / "s.sqlite", bench_dir=None
-    )
+def cells():
+    summary = run_experiment(SPEC, bench_dir=None)
     assert summary.n_failed == 0
     return {
         (c["workload"], c["method"], c["index_kind"], c["engine"]): c["metrics"]

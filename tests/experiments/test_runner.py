@@ -1,4 +1,4 @@
-"""Runner end-to-end: trials execute, the store fills, BENCH_* is written."""
+"""Runner end-to-end: trials execute and BENCH_* is written."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.experiments import (
     BENCH_SCHEMA_VERSION,
     ExperimentSpec,
     ReducerSpec,
-    ResultsStore,
     derive_bound_ratios,
     expand,
     load_bench,
@@ -90,15 +89,15 @@ class TestDeriveBoundRatios:
 
 class TestRunExperiment:
     def test_end_to_end(self, tiny_spec, tmp_path):
-        summary = run_experiment(
-            tiny_spec, tmp_path / "s.sqlite", bench_dir=tmp_path
-        )
+        summary = run_experiment(tiny_spec, bench_dir=tmp_path)
         assert summary.n_trials == 4 and summary.n_failed == 0
         assert summary.bench_path == tmp_path / "BENCH_tinyspec.json"
 
         payload = load_bench(summary.bench_path)
         assert payload["schema"] == BENCH_SCHEMA_VERSION
         assert payload["spec"]["name"] == "tinyspec"
+        assert (payload["n_trials"], payload["n_skipped"], payload["n_failed"]) == (4, 0, 0)
+        assert "experiment_id" not in payload
         cells = {cell["cell"]: cell for cell in payload["cells"]}
         assert len(cells) == 2
         batch = cells["batch_knn|tiny|PAA-4|none|k2-auto"]
@@ -106,14 +105,9 @@ class TestRunExperiment:
         assert batch["metrics"]["latency_p99_ms"] > 0.0
         pruning = cells["pruning|tiny|PAA-4|none|k2-auto"]
         assert 0.0 < pruning["metrics"]["verified_ratio"] <= 1.0
+        assert payload["cells"] == summary.cells
 
-        with ResultsStore(summary.store_path) as store:
-            assert len(store.trials(summary.experiment_id)) == 4
-            assert all(
-                t["status"] == "ok" for t in store.trials(summary.experiment_id)
-            )
-
-    def test_unsupported_cells_are_skipped(self, tmp_path):
+    def test_unsupported_cells_are_skipped(self):
         spec = ExperimentSpec(
             name="skips",
             workloads=("ingest",),
@@ -121,7 +115,7 @@ class TestRunExperiment:
             reducers=(ReducerSpec("PAA", 4),),
             indexes=(IndexKind.NONE,),  # ingest needs an index
         )
-        summary = run_experiment(spec, tmp_path / "s.sqlite", bench_dir=None)
+        summary = run_experiment(spec, bench_dir=None)
         assert summary.n_trials == 0 and summary.n_skipped == 1
         assert summary.bench_path is None
 
@@ -130,15 +124,9 @@ class TestRunExperiment:
             raise RuntimeError("injected")
 
         monkeypatch.setitem(WORKLOADS, "pruning", boom)
-        summary = run_experiment(tiny_spec, tmp_path / "s.sqlite", bench_dir=tmp_path)
+        summary = run_experiment(tiny_spec, bench_dir=tmp_path)
         assert summary.n_trials == 2 and summary.n_failed == 2
-        with ResultsStore(summary.store_path) as store:
-            failed = [
-                t for t in store.trials(summary.experiment_id)
-                if t["status"] == "failed"
-            ]
-            assert len(failed) == 2
-            assert all(t["workload"] == "pruning" for t in failed)
+        payload = load_bench(summary.bench_path)
+        assert (payload["n_trials"], payload["n_failed"]) == (2, 2)
         # failed cells never reach the BENCH summary
-        cells = load_bench(summary.bench_path)["cells"]
-        assert all(cell["workload"] == "batch_knn" for cell in cells)
+        assert [cell["workload"] for cell in payload["cells"]] == ["batch_knn"]

@@ -45,6 +45,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown archive dataset 'Adiak'"):
             spec_from_dict({"name": "x", "scales": [{"name": "a", "dataset": "Adiak"}]})
 
+    @pytest.mark.parametrize(
+        "axis, entry, message",
+        [
+            ("reducers", {"method": "Sapla"}, "unknown reducer method 'Sapla'"),
+            ("engines", {"mode": "fast"}, "unknown engine mode 'fast'"),
+            ("engines", {"fsync_batch": 0}, "fsync_batch must be >= 1"),
+            ("scales", {"name": "a", "n_inserts": -1}, "n_inserts must be >= 0"),
+        ],
+        ids=["method", "mode", "fsync_batch", "n_inserts"],
+    )
+    def test_bad_axis_value_refused_when_the_spec_loads(self, axis, entry, message):
+        """Refused before any trial runs, not as a failure mid-matrix."""
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict({"name": "x", axis: [entry]})
+
     def test_engine_fsync_policy_checked(self):
         with pytest.raises(ValueError, match="fsync"):
             EngineSpec(fsync="sometimes")

@@ -82,9 +82,6 @@ class TestSchemaCompat:
         assert report.counters["knn.queries"] == 2
         (row,) = [r for r in report.summary_rows() if r["kind"] == "histogram"]
         assert "p50=" not in row["value"]  # renders without the missing fields
-        names = {r["name"] for r in report.trial_metrics()}
-        assert "knn.verified_per_query/mean" in names
-        assert "knn.verified_per_query/p50" not in names
 
     def test_current_schema_round_trips(self):
         with obs.capture():
@@ -94,24 +91,3 @@ class TestSchemaCompat:
         assert again.schema == SCHEMA_VERSION
         assert again.histograms == report.histograms
 
-
-class TestTrialMetricsContract:
-    def test_flattening_kinds_and_order(self):
-        with obs.capture():
-            obs.count("knn.queries", 3)
-            obs.gauge_set("shard.count", 2.0)
-            obs.observe("knn.verified_per_query", 5.0)
-            with obs.span("experiments.trial"):
-                pass
-            report = RunReport.collect()
-        rows = report.trial_metrics()
-        assert rows == sorted(rows, key=lambda r: (r["kind"], r["name"]))
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["knn.queries"]["kind"] == "counter"
-        assert by_name["knn.queries"]["value"] == 3.0
-        assert by_name["shard.count"]["kind"] == "gauge"
-        for field in RunReport.HISTOGRAM_FIELDS:
-            assert by_name[f"knn.verified_per_query/{field}"]["kind"] == "histogram"
-        assert by_name["knn.verified_per_query/p50"]["value"] == 5.0
-        assert by_name["experiments.trial/calls"]["kind"] == "span"
-        assert by_name["experiments.trial/calls"]["value"] == 1.0

@@ -145,8 +145,7 @@ k = 2
         spec = tmp_path / "clifigure.toml"
         spec.write_text(self.SPEC.format(workload=workload))
         code = main(
-            ["experiment", "run", str(spec), "--store", str(tmp_path / "s.sqlite"),
-             "--bench-dir", str(tmp_path)]
+            ["experiment", "run", str(spec), "--bench-dir", str(tmp_path)]
         )
         assert code == 0
         return capsys.readouterr().out

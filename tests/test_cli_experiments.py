@@ -45,8 +45,7 @@ def output(tmp_path_factory):
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         code = main(
-            ["experiment", "run", str(spec), "--store", str(home / "s.sqlite"),
-             "--bench-dir", str(home)]
+            ["experiment", "run", str(spec), "--bench-dir", str(home)]
         )
     assert code == 0
     return printed.getvalue()
