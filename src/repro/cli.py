@@ -283,7 +283,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         max_in_flight=args.max_in_flight,
         queue_depth=args.queue_depth,
-        workers=args.workers,
     )
 
     async def _run(engine) -> None:
@@ -590,15 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.add_argument(
         "--max-in-flight", type=int, default=64, metavar="N",
-        help="queries executing concurrently on the thread pool",
+        help="admitted queries executing at once, alone or in a coalesced "
+        "k-NN batch (also the thread-pool size)",
     )
     p.add_argument(
         "--queue-depth", type=int, default=2048, metavar="N",
         help="admitted queries allowed to wait; beyond this arrivals are shed",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="execution threads (defaults to --max-in-flight)",
     )
     p.add_argument(
         "--report", default=None, metavar="OUT.json",

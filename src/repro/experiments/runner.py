@@ -1,9 +1,9 @@
 """The experiment runner: spec -> trials -> ``BENCH_<spec>.json``.
 
 :func:`run_experiment` expands a spec's matrix, executes every supported
-trial with warmup/repeat control, captures a schema-versioned RunReport per
-trial (metrics registry + span tree swapped in around the workload call, so
-trials never contaminate each other or the caller), keeps each cell's
+trial with warmup/repeat control, captures each trial's obs counters (a
+fresh metrics registry and span recorder swapped in around the workload
+call, so trials never contaminate each other or the caller), keeps each cell's
 per-repeat derived metrics, and finally writes the ``BENCH_<spec>.json``
 record — per-cell medians of the derived metrics plus pruning-counter
 ratios (the worst repeat of a pass/fail metric) — into the chosen
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from .. import obs
-from ..obs.report import RunReport
 from .spec import ExperimentSpec, TrialSpec, expand, spec_to_dict
 from .workloads import run_workload, supports
 
@@ -57,7 +56,7 @@ class RunSummary:
     elapsed_s: float = 0.0
 
 
-def derive_bound_ratios(report: RunReport) -> "Dict[str, float]":
+def derive_bound_ratios(counters: "Dict[str, int]") -> "Dict[str, float]":
     """Per-bound pruning ratios reconstructed from a trial's obs counters.
 
     ``pruned_ratio.<bound>`` is the fraction of representation-stage
@@ -65,7 +64,6 @@ def derive_bound_ratios(report: RunReport) -> "Dict[str, float]":
     survived to raw verification (the aggregate pruning power, Eq. 14).
     Empty when the trial ran no filter-and-refine queries.
     """
-    counters = report.counters
     verified = counters.get("knn.entries_refined", 0)
     pruned = {
         mode: counters[name]
@@ -80,29 +78,27 @@ def derive_bound_ratios(report: RunReport) -> "Dict[str, float]":
     return ratios
 
 
-def run_trial(trial: TrialSpec) -> "tuple[Dict[str, float], RunReport, float]":
+def run_trial(trial: TrialSpec) -> "tuple[Dict[str, float], float]":
     """Execute one trial under a fresh obs capture.
 
-    Returns ``(derived_metrics, report, elapsed_s)``.  The derived metrics
-    include the pruning-counter ratios reconstructed from the report, and
-    the report's meta carries the trial's matrix axes.  The caller's
-    registry/recorder are untouched — the trial records into its own.
+    Returns ``(derived_metrics, elapsed_s)``; the derived metrics include
+    the pruning-counter ratios reconstructed from the trial's counters.
+    The caller's registry/recorder are untouched — the trial records into
+    its own.
     """
-    previous_registry = obs.set_registry(obs.MetricsRegistry(enabled=True))
+    registry = obs.MetricsRegistry(enabled=True)
+    previous_registry = obs.set_registry(registry)
     previous_recorder = obs.set_recorder(obs.SpanRecorder(enabled=True))
     started = time.perf_counter()
     try:
         with obs.span("experiments.trial"):
             derived = dict(run_workload(trial))
         elapsed = time.perf_counter() - started
-        report = RunReport.collect(
-            meta={"spec_trial": trial.index, "cell": trial.cell_key, **trial.axes()}
-        )
     finally:
         obs.set_registry(previous_registry)
         obs.set_recorder(previous_recorder)
-    derived.update(derive_bound_ratios(report))
-    return derived, report, elapsed
+    derived.update(derive_bound_ratios(registry.snapshot()["counters"]))
+    return derived, elapsed
 
 
 #: pass/fail metrics: a cell keeps its worst repeat, so one repeat that
@@ -167,7 +163,7 @@ def run_experiment(
             for _ in range(spec.warmup if trial.repeat == 0 else 0):
                 run_workload(trial)
             try:
-                derived, _, elapsed = run_trial(trial)
+                derived, elapsed = run_trial(trial)
             except Exception as exc:  # report the failure, keep the matrix going
                 n_failed += 1
                 obs.count("experiments.trial_failures")

@@ -2,10 +2,15 @@
 
 :class:`ReproServer` accepts connections speaking the length-prefixed JSON
 protocol of :mod:`repro.serving.protocol`, admits each query under a
-two-stage admission controller, executes it on a thread pool (NumPy
-verification releases the GIL, so shard scatter and many requests overlap),
-and writes the response frame back — responses carry the request's ``id``,
-so clients may pipeline arbitrarily many requests per connection.
+two-stage admission controller, executes it on a thread pool, and writes
+the response frame back — responses carry the request's ``id``, so clients
+may pipeline arbitrarily many requests per connection.
+
+**Read coalescing.**  Admitted ``knn`` requests with no deadline, in mode
+``vectorized`` or ``auto`` with one query, wait in a pending list (holding
+their slots); whenever its last engine calls return, one dispatcher answers
+all of it, one ``knn_batch`` per distinct options.  Other requests run
+alone, as does each member of a coalesced call that raised.
 
 **Admission control.**  ``max_in_flight`` bounds the queries *executing*
 concurrently; arrivals beyond it wait in an admission queue bounded by
@@ -40,14 +45,15 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .. import obs
 from ..client.api import KnnRequest, RangeRequest, QueryResult
 from ..continuous import ContinuousEvaluator, query_from_payload
+from ..engine import ExecutionMode
 from .protocol import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -73,12 +79,11 @@ class ServerConfig:
         host: interface to bind (loopback by default).
         port: TCP port; 0 picks a free one (read it back from
             :attr:`ReproServer.port` after start).
-        max_in_flight: queries executing concurrently on the thread pool.
+        max_in_flight: admitted queries executing concurrently, alone or in
+            a coalesced batch; also the thread-pool size.
         queue_depth: admitted queries allowed to *wait* for an execution
             slot; arrivals beyond this are shed with an ``overloaded``
             error.
-        workers: thread-pool size for query execution (defaults to
-            ``max_in_flight``).
         max_frame_bytes: per-frame size cap for both directions.
         notify_queue: per-subscription buffered push frames; a consumer
             lagging beyond this drops deltas and gets a ``full`` resync
@@ -89,7 +94,6 @@ class ServerConfig:
     port: int = 0
     max_in_flight: int = 64
     queue_depth: int = 2048
-    workers: "Optional[int]" = None
     max_frame_bytes: int = MAX_FRAME_BYTES
     notify_queue: int = 256
 
@@ -98,8 +102,6 @@ class ServerConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
         if self.notify_queue < 1:
             raise ValueError("notify_queue must be >= 1")
 
@@ -140,13 +142,15 @@ class ReproServer:
         self._slots: "Optional[asyncio.Semaphore]" = None
         self._waiting = 0
         self._executing = 0
+        #: admitted coalescable ``knn`` requests: (queries, options, future)
+        self._pending: "List[tuple]" = []
+        self._dispatcher: "Optional[asyncio.Task]" = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
         """Bind the listener and create the execution pool."""
-        workers = self.config.workers or self.config.max_in_flight
         self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
+            max_workers=self.config.max_in_flight, thread_name_prefix="repro-serve"
         )
         self._slots = asyncio.Semaphore(self.config.max_in_flight)
         self._server = await asyncio.start_server(
@@ -162,11 +166,18 @@ class ReproServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener and shut the execution pool down."""
+        """Close the listener, end the dispatcher, cancel the requests it has
+        not answered and shut the execution pool down."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._dispatcher is not None:
+            self._dispatcher.cancel()
+            await asyncio.gather(self._dispatcher, return_exceptions=True)
+        for _, _, future in self._pending:
+            future.cancel()
+        self._pending = []
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -335,16 +346,24 @@ class ReproServer:
         loop = asyncio.get_event_loop()
         if op == "knn":
             request = KnnRequest.from_payload(frame)
-            batch = await loop.run_in_executor(
-                self._executor,
-                self.engine.knn_batch,
-                request.queries,
-                request.options(),
-            )
-            return {
-                "results": [r.to_payload() for r in QueryResult.from_batch(batch)],
-                "elapsed_s": batch.elapsed_s,
-            }
+            options = request.options()
+            one_auto = options.mode is ExecutionMode.AUTO and len(request.queries) == 1
+            answer = None
+            if (one_auto or options.mode is ExecutionMode.VECTORIZED) and not options.deadline_s:
+                future = loop.create_future()
+                # not AUTO: it puts a multi-query adaptive scan on the lazy heap
+                coalesced = replace(options, mode=ExecutionMode.VECTORIZED)
+                self._pending.append((request.queries, coalesced, future))
+                if self._dispatcher is None or self._dispatcher.done():
+                    self._dispatcher = asyncio.ensure_future(self._dispatch())
+                answer = await future
+            if answer is None:  # runs alone, or its coalesced call raised
+                batch = await loop.run_in_executor(
+                    self._executor, self.engine.knn_batch, request.queries, options
+                )
+                answer = QueryResult.from_batch(batch), batch.elapsed_s
+            results, elapsed_s = answer  # elapsed_s: the engine call that answered
+            return {"results": [r.to_payload() for r in results], "elapsed_s": elapsed_s}
         if op == "range":
             request = RangeRequest.from_payload(frame)
             batch = await loop.run_in_executor(
@@ -388,6 +407,35 @@ class ReproServer:
         channels[sid] = channel
         channel.task = asyncio.ensure_future(self._drain(channel, writer, lock))
         return {"subscription_id": sid}
+
+    async def _dispatch(self) -> None:
+        """Answer everything pending with one engine call per distinct
+        options, until nothing is; a request stays pending until answered."""
+        while self._pending:
+            taken = list(self._pending)
+            groups: "Dict[object, list]" = {}
+            for member in taken:
+                groups.setdefault(member[1], []).append(member)
+            for group in groups.items():
+                await self._run_group(*group)
+            del self._pending[: len(taken)]
+
+    async def _run_group(self, options, members: list) -> None:
+        """One ``knn_batch`` over the members' stacked queries; each member
+        gets its slice, or ``None`` (run alone) if the call raised."""
+        loop = asyncio.get_running_loop()
+        try:
+            queries = np.concatenate([queries for queries, _, _ in members])
+            batch = await loop.run_in_executor(
+                self._executor, self.engine.knn_batch, queries, options
+            )
+            results = iter(QueryResult.from_batch(batch))
+        except Exception:
+            batch = None
+        for queries, _, future in members:
+            answer = None if batch is None else ([next(results) for _ in queries], batch.elapsed_s)
+            if not future.done():
+                future.set_result(answer)
 
     def _generation_body(self):
         generation = getattr(self.engine, "generation", None)

@@ -17,7 +17,6 @@ from repro.experiments import (
 from repro.experiments.workloads import WORKLOADS
 from repro.kinds import IndexKind
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import RunReport
 from repro.obs.spans import SpanRecorder
 
 from .conftest import TINY_SCALE
@@ -37,20 +36,20 @@ def clean_obs_state():
 class TestRunTrial:
     def test_batch_knn_metrics_and_isolation(self, tiny_spec):
         caller_registry = obs.registry()
-        derived, report, elapsed = run_trial(expand(tiny_spec)[0])
-        # the caller's obs state is untouched by the trial's capture
+        caller_registry.enabled = True
+        derived, elapsed = run_trial(expand(tiny_spec)[0])
+        # the caller's obs state is untouched: the trial counted into its own
         assert obs.registry() is caller_registry
+        assert caller_registry.snapshot()["counters"] == {}
         assert elapsed > 0.0
         for key in ("sequential_qps", "batched_qps", "speedup",
                     "latency_p50_ms", "latency_p90_ms", "latency_p99_ms"):
             assert derived[key] > 0.0
         assert derived["results_identical"] == 1.0
-        assert report.meta["cell"] == expand(tiny_spec)[0].cell_key
-        assert report.counters.get("knn.queries", 0) > 0
 
     def test_pruning_trial_gains_bound_ratios(self, tiny_spec):
         trial = expand(tiny_spec)[2]  # the pruning cell
-        derived, report, _ = run_trial(trial)
+        derived, _ = run_trial(trial)
         assert 0.0 <= derived["pruning_power"] <= 1.0
         assert 0.0 <= derived["accuracy"] <= 1.0
         assert 0.0 < derived["verified_ratio"] <= 1.0
@@ -75,16 +74,14 @@ class TestDeriveBoundRatios:
             obs.count("knn.entries_refined", 25)
             obs.count("knn.pruned.aligned", 50)
             obs.count("knn.pruned.dist_lb", 25)
-            report = RunReport.collect()
-        ratios = derive_bound_ratios(report)
+            counters = obs.registry().snapshot()["counters"]
+        ratios = derive_bound_ratios(counters)
         assert ratios["verified_ratio"] == 0.25
         assert ratios["pruned_ratio.aligned"] == 0.5
         assert ratios["pruned_ratio.lb"] == 0.25
 
     def test_empty_without_counters(self):
-        with obs.capture():
-            report = RunReport.collect()
-        assert derive_bound_ratios(report) == {}
+        assert derive_bound_ratios({}) == {}
 
 
 class TestRunExperiment:

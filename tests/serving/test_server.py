@@ -282,8 +282,6 @@ class TestServerConfig:
             ServerConfig(max_in_flight=0)
         with pytest.raises(ValueError):
             ServerConfig(queue_depth=-1)
-        with pytest.raises(ValueError):
-            ServerConfig(workers=0)
 
     def test_port_zero_picks_a_free_port(self, db):
         async def client(reader, writer, server):
