@@ -34,13 +34,14 @@ verify-engine:
 	PYTHONPATH=src pytest tests/engine -q
 	$(call run-spec,batch_knn)
 
-# durability layer: lint + WAL/recovery/maintenance/snapshot tests +
-# the mutate-vs-fresh equivalence property + the committed home corpus +
-# a short crash matrix, then the ingest spec (every fsync policy; a WAL
-# that logs more or less than it did fails)
+# durability layer: lint + WAL/recovery/maintenance/snapshot tests + the
+# disk store's read path + the mutate-vs-fresh equivalence property + the
+# committed home corpus + a short crash matrix, then the ingest spec (every
+# fsync policy; a WAL that logs more or less than it did fails)
 verify-lifecycle:
 	python scripts/check_metric_names.py
-	PYTHONPATH=src pytest tests/lifecycle tests/property/test_mutate_query_equivalence.py tests/io/test_homes.py -q
+	PYTHONPATH=src pytest tests/lifecycle tests/storage tests/property/test_mutate_query_equivalence.py \
+		tests/io/test_homes.py -q
 	python scripts/crash_matrix.py --kills 3 --series 300
 	$(call run-spec,ingest)
 

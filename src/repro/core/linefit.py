@@ -4,7 +4,9 @@ Every segment-based method in this package (SAPLA, APLA, PLA, APCA, ...)
 represents a stretch of a time series by the least-squares line fitted over
 local abscissae ``t = 0, 1, ..., length - 1`` (paper Eq. (1)).  SAPLA's whole
 speed argument rests on being able to *extend*, *shrink*, *merge* and *split*
-such fits in constant time (paper Eqs. (2)-(11)).
+such fits in constant time (paper Eqs. (2)-(11)).  :class:`LineFit` extends
+and merges fits; :class:`SeriesStats` gives the exact fit of any window — a
+shrunk, moved or split segment — from two prefix-sum lookups.
 
 The closed forms in the paper follow from the least-squares normal equations:
 
@@ -110,7 +112,7 @@ class LineFit:
         return a * np.arange(self.length, dtype=float) + b
 
     # ------------------------------------------------------------------
-    # O(1) updates (paper Eqs. (2), (3), (4), (9), (10), (11))
+    # O(1) updates (paper Eqs. (2), (3), (4))
     # ------------------------------------------------------------------
     def extend_right(self, value: float) -> "LineFit":
         """Append one point after the segment (paper Eq. (2))."""
@@ -118,38 +120,6 @@ class LineFit:
             length=self.length + 1,
             sum_y=self.sum_y + value,
             sum_ty=self.sum_ty + self.length * value,
-        )
-
-    def shrink_right(self, value: float) -> "LineFit":
-        """Drop the last covered point, whose value must be given (paper Eq. (9))."""
-        if self.length <= 1:
-            raise ValueError("cannot shrink a single-point fit")
-        return LineFit(
-            length=self.length - 1,
-            sum_y=self.sum_y - value,
-            sum_ty=self.sum_ty - (self.length - 1) * value,
-        )
-
-    def extend_left(self, value: float) -> "LineFit":
-        """Prepend one point before the segment (paper Eq. (10)).
-
-        Existing points shift from local ``t`` to ``t + 1``.
-        """
-        return LineFit(
-            length=self.length + 1,
-            sum_y=self.sum_y + value,
-            sum_ty=self.sum_ty + self.sum_y,
-        )
-
-    def shrink_left(self, value: float) -> "LineFit":
-        """Drop the first covered point, whose value must be given (paper Eq. (11))."""
-        if self.length <= 1:
-            raise ValueError("cannot shrink a single-point fit")
-        remaining = self.sum_y - value
-        return LineFit(
-            length=self.length - 1,
-            sum_y=remaining,
-            sum_ty=self.sum_ty - remaining,
         )
 
     def merge(self, right: "LineFit") -> "LineFit":
@@ -164,24 +134,6 @@ class LineFit:
             sum_y=self.sum_y + right.sum_y,
             sum_ty=self.sum_ty + right.sum_ty + self.length * right.sum_y,
         )
-
-    def split_off_right(self, left: "LineFit") -> "LineFit":
-        """Recover the right sub-fit given the fit over the left part (Eqs. (7), (8))."""
-        if left.length >= self.length:
-            raise ValueError("left part must be strictly shorter than the whole")
-        sum_y = self.sum_y - left.sum_y
-        # right part's global t*y minus the coordinate shift by left.length
-        sum_ty = self.sum_ty - left.sum_ty - left.length * sum_y
-        return LineFit(length=self.length - left.length, sum_y=sum_y, sum_ty=sum_ty)
-
-    def split_off_left(self, right: "LineFit") -> "LineFit":
-        """Recover the left sub-fit given the fit over the right part (Eqs. (5), (6))."""
-        if right.length >= self.length:
-            raise ValueError("right part must be strictly shorter than the whole")
-        left_length = self.length - right.length
-        sum_y = self.sum_y - right.sum_y
-        sum_ty = self.sum_ty - (right.sum_ty + left_length * right.sum_y)
-        return LineFit(length=left_length, sum_y=sum_y, sum_ty=sum_ty)
 
 
 class SeriesStats:

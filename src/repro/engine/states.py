@@ -48,18 +48,13 @@ BLOCK_ROWS = 32
 def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
     """Stack the raw rows for ``series_ids`` into a ``(len, n)`` matrix.
 
-    In-memory arrays fancy-index in one shot.  Disk-backed views exposing
-    ``gather`` resolve the whole batch in one call (a slice of the page
-    file's memmap, or a page-sequential batched read) with the physical I/O
-    still charged per row; anything supporting only integer ``data[i]``
-    falls back to row-by-row reads.
+    In-memory arrays fancy-index in one shot; a disk-backed row view
+    resolves the whole batch with its ``gather`` (a slice of the page
+    file's memmap, the physical I/O still charged per row).
     """
     if isinstance(data, np.ndarray):
         return data[np.asarray(series_ids, dtype=np.intp)]
-    gather = getattr(data, "gather", None)
-    if gather is not None:
-        return gather(series_ids)
-    return np.stack([np.asarray(data[int(sid)], dtype=float) for sid in series_ids])
+    return data.gather(series_ids)
 
 
 def _batch_bounds(db, ctx):

@@ -266,9 +266,10 @@ class SeriesDatabase(MutableDatabase):
         max_entries / min_entries: node fill factors (paper uses 5 / 2).
 
     The database is mutable and snapshot-consistent: ``insert``/``delete``
-    may interleave with serving, ``snapshot()``/``freeze()`` pin a stable
-    read view (see :class:`repro.lifecycle.MutableDatabase`), and attaching
-    a :class:`repro.lifecycle.WriteAheadLog` makes mutations durable.
+    may interleave with serving, ``snapshot()`` (also a context manager)
+    pins a stable read view (see :class:`repro.lifecycle.MutableDatabase`),
+    and attaching a :class:`repro.lifecycle.WriteAheadLog` makes mutations
+    durable.
 
     This is the one database class.  Where the raw rows live is the only
     thing that differs by kind, and it sits behind a row store (see

@@ -102,7 +102,6 @@ def open_database(directory: PathLike, durability=None):
             directory / STORE_FILENAME,
             index=index,
             page_size=config["page_size"],
-            cache_pages=config["cache_pages"],
         )
         database.reopen(representations, live_ids=live_ids)
         base_count = row_count if row_count is not None else len(representations)

@@ -150,18 +150,14 @@ class MutableDatabase:
         self._wal = wal
 
     def snapshot(self) -> Snapshot:
-        """Pin the current version and return a stable read view."""
+        """Pin the current version and return a stable read view.
+
+        ``with db.snapshot() as view: ...`` serves the view for the
+        duration of the block while concurrent mutations queue.
+        """
         with self._mutate_lock:
             self._pins += 1
             return Snapshot(self)
-
-    def freeze(self) -> Snapshot:
-        """Alias of :meth:`snapshot` — the context-manager spelling.
-
-        ``with db.freeze() as view: ...`` serves a stable view for the
-        duration of the block while concurrent mutations queue.
-        """
-        return self.snapshot()
 
     # -- deferred-application machinery ---------------------------------
     def _release_snapshot(self) -> None:

@@ -93,8 +93,6 @@ CATALOG: "dict[str, tuple[str, str]]" = {
     # ------------------------------------------------------------- storage
     "storage.page_reads": (COUNTER, "physical page reads from the backing file"),
     "storage.page_writes": (COUNTER, "physical page writes to the backing file"),
-    "storage.cache_hits": (COUNTER, "page reads served by the LRU cache"),
-    "pages.batch_reads": (COUNTER, "batched multi-row reads through the page cache"),
     "columns.builds": (COUNTER, "memory maps of a page file's row region"),
     "columns.gathers": (COUNTER, "bulk row gathers served by a page file's memory map"),
     # ----------------------------------------------------------- lifecycle

@@ -35,13 +35,15 @@ class DiskBackedDatabase(SeriesDatabase):
     A :class:`repro.index.SeriesDatabase` whose row store is
     :class:`PagedRows`: every mutation, replay, snapshot and save is the
     base class's; only where the raw rows land and are read from differs.
+    Raw rows are read through the page file's memory map, and every row
+    read is charged the pages it spans (:attr:`io_stats`).
 
     Args:
         reducer: dimensionality reduction method.
         store_path: backing file for the raw pages.
         index: an :class:`repro.IndexKind`, its value, or ``None`` (see
             :class:`repro.index.SeriesDatabase`).
-        page_size / cache_pages: storage knobs.
+        page_size: page capacity in bytes.
     """
 
     def __init__(
@@ -50,10 +52,9 @@ class DiskBackedDatabase(SeriesDatabase):
         store_path: PathLike,
         index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
         page_size: int = 4096,
-        cache_pages: int = 8,
     ):
         super().__init__(reducer, index=index)
-        self._rows = PagedRows(store_path, page_size, cache_pages)
+        self._rows = PagedRows(store_path, page_size)
 
     def reopen(self, representations: list, live_ids: "Optional[list]" = None) -> None:
         """Attach an existing store file and adopt persisted representations.
@@ -90,7 +91,7 @@ class DiskBackedDatabase(SeriesDatabase):
 
     def columns(self):
         """The page file's read-only memmap of the raw rows (no copy), or
-        ``None`` before ingest or where the file cannot be mapped."""
+        ``None`` before ingest."""
         return None if self.store is None else self.store.mapped_rows()
 
 
@@ -98,15 +99,13 @@ class PagedRows:
     """Row store over a :class:`PagedSeriesStore` (see :mod:`repro.index.rows`).
 
     Doubles as the array-like readers see as ``db.data``: ``rows[i]`` reads
-    series ``i`` through the page cache, and batched access goes through
-    :meth:`gather`, which slices the store's memmap (physical I/O charged
-    per spanned page) and falls back to the page-cache batch read.
+    series ``i`` and :meth:`gather` reads many, both through the store's
+    memmap, with physical I/O charged per spanned page.
     """
 
-    def __init__(self, path: PathLike, page_size: int, cache_pages: int):
+    def __init__(self, path: PathLike, page_size: int):
         self._path = pathlib.Path(path)
         self._page_size = page_size
-        self._cache_pages = cache_pages
         self.store: Optional[PagedSeriesStore] = None
 
     # -- the row-store side ----------------------------------------------
@@ -117,9 +116,7 @@ class PagedRows:
 
     def open(self) -> None:
         """Attach the store file already at the path."""
-        self.store = PagedSeriesStore.open(
-            self._path, page_size=self._page_size, cache_pages=self._cache_pages
-        )
+        self.store = PagedSeriesStore.open(self._path, page_size=self._page_size)
 
     def adopt(self, data: np.ndarray) -> None:
         """Write ``data`` as the whole store, through a temporary file that
@@ -145,11 +142,7 @@ class PagedRows:
         target = directory / STORE_FILENAME
         if target.resolve() != self.store.path.resolve():
             shutil.copyfile(self.store.path, target)
-        return {
-            "kind": "disk",
-            "page_size": self.store.page_size,
-            "cache_pages": self.store.cache_pages,
-        }
+        return {"kind": "disk", "page_size": self.store.page_size}
 
     # -- the array-like side ---------------------------------------------
     def __getitem__(self, series_id: int) -> np.ndarray:
@@ -164,10 +157,8 @@ class PagedRows:
 
     def gather(self, series_ids) -> np.ndarray:
         """Rows for ``series_ids`` as one ``(len, n)`` float64 matrix."""
-        mapped = self.store.mapped_rows()
-        if mapped is None:
-            return self.store.get_rows(series_ids)
         idx = np.asarray(series_ids, dtype=np.intp)
+        rows = np.asarray(self.store.mapped_rows()[idx], dtype=float)
         obs.count("columns.gathers")
         self.store.account_mapped_rows(idx)
-        return np.asarray(mapped[idx], dtype=float)
+        return rows

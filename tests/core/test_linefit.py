@@ -70,52 +70,11 @@ class TestIncrementalOps:
         ref = LineFit.from_values(np.append(values, new))
         assert fit.coefficients == pytest.approx(ref.coefficients, abs=1e-6)
 
-    @given(values_arrays(min_size=2, max_size=32), finite_floats)
-    def test_extend_left_equals_refit(self, values, new):
-        fit = LineFit.from_values(values).extend_left(new)
-        ref = LineFit.from_values(np.insert(values, 0, new))
-        assert fit.coefficients == pytest.approx(ref.coefficients, abs=1e-6)
-
-    @given(values_arrays(min_size=3, max_size=32))
-    def test_shrink_right_equals_refit(self, values):
-        fit = LineFit.from_values(values).shrink_right(values[-1])
-        ref = LineFit.from_values(values[:-1])
-        assert fit.coefficients == pytest.approx(ref.coefficients, abs=1e-6)
-
-    @given(values_arrays(min_size=3, max_size=32))
-    def test_shrink_left_equals_refit(self, values):
-        fit = LineFit.from_values(values).shrink_left(values[0])
-        ref = LineFit.from_values(values[1:])
-        assert fit.coefficients == pytest.approx(ref.coefficients, abs=1e-6)
-
-    def test_shrink_single_point_rejected(self):
-        with pytest.raises(ValueError):
-            LineFit.from_values(np.array([1.0])).shrink_right(1.0)
-        with pytest.raises(ValueError):
-            LineFit.from_values(np.array([1.0])).shrink_left(1.0)
-
     @given(values_arrays(min_size=2, max_size=24), values_arrays(min_size=2, max_size=24))
     def test_merge_equals_refit(self, left, right):
         merged = LineFit.from_values(left).merge(LineFit.from_values(right))
         ref = LineFit.from_values(np.concatenate([left, right]))
         assert merged.coefficients == pytest.approx(ref.coefficients, abs=1e-5)
-
-    @given(values_arrays(min_size=2, max_size=24), values_arrays(min_size=2, max_size=24))
-    def test_split_recovers_both_parts(self, left, right):
-        whole = LineFit.from_values(np.concatenate([left, right]))
-        left_fit = LineFit.from_values(left)
-        right_fit = LineFit.from_values(right)
-        rec_right = whole.split_off_right(left_fit)
-        rec_left = whole.split_off_left(right_fit)
-        assert rec_right.coefficients == pytest.approx(right_fit.coefficients, abs=1e-5)
-        assert rec_left.coefficients == pytest.approx(left_fit.coefficients, abs=1e-5)
-
-    def test_split_requires_strictly_shorter_part(self):
-        whole = LineFit.from_values(np.arange(4.0))
-        with pytest.raises(ValueError):
-            whole.split_off_right(whole)
-        with pytest.raises(ValueError):
-            whole.split_off_left(whole)
 
 
 class TestReconstruction:

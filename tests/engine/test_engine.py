@@ -147,7 +147,7 @@ class TestDiskRoute:
             got, expected = disk.knn(query, 8), memory.knn(query, 8)
             assert (got.ids, got.distances) == (expected.ids, expected.distances)
             assert got.n_verified == expected.n_verified
-            accesses = disk.io_stats.total_accesses
+            accesses = disk.io_stats.page_reads
             assert got.n_verified * pages <= accesses
             assert accesses <= (got.n_verified + BLOCK_ROWS - 1) * pages
             read += accesses

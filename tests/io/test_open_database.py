@@ -58,6 +58,7 @@ class TestUnifiedRoundTrip:
         assert loaded.io_stats.page_reads > 0
         config = json.loads((tmp_path / "db" / "config.json").read_text())
         assert config["kind"] == "disk"
+        assert "cache_pages" not in config  # rows are read through the memory map
 
     def test_loaded_database_answers_batches(self, tmp_path):
         data = dataset()

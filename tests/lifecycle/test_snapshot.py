@@ -51,7 +51,7 @@ class TestSnapshotPinning:
 
     def test_raw_row_lands_immediately_but_entry_defers(self):
         db, rng = make_db()
-        with db.freeze() as snap:
+        with db.snapshot() as snap:
             sid = db.insert(rng.normal(size=32))
             assert sid == 20
             assert db.data.shape[0] == 21  # raw row appended at once

@@ -1,13 +1,12 @@
-"""The page file's memory-mapped rows and the batched page-store read path.
+"""The page file's memory-mapped rows: the one read path of a disk store.
 
 The page file's row region is mapped as one read-only ``float64`` matrix
-that shares bytes with the file itself, so rows gathered through it are
-bit-identical to per-row page reads — and the physical-I/O accounting must
-say so too.
+that shares bytes with the file itself, so rows read through it are
+bit-identical to the rows written — and the physical-I/O accounting charges
+every row the pages it spans.
 """
 
 import numpy as np
-import pytest
 
 from repro import obs
 from repro.index import SeriesDatabase
@@ -31,21 +30,39 @@ class TestMappedBlock:
         assert mapped is not None
         assert mapped.dtype == np.float64 and mapped.shape == DATA.shape
         ids = [2, 19, 0, 7]
-        np.testing.assert_array_equal(mapped[ids], store.get_rows(ids))
-        np.testing.assert_array_equal(np.asarray(mapped), store.read_all())
+        np.testing.assert_array_equal(mapped[ids], DATA[ids])
+        np.testing.assert_array_equal(np.asarray(mapped), DATA)
+        for sid in ids:
+            np.testing.assert_array_equal(store.read(sid), DATA[sid])
 
     def test_mapped_block_cached_until_append(self, tmp_path):
         store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
         first = store.mapped_rows()
         assert store.mapped_rows() is first
-        store.put_row(len(store), DATA[0] + 1.0)
-        remapped = store.mapped_rows()
+        with obs.capture() as session:
+            store.put_row(len(store), DATA[0] + 1.0)
+            remapped = store.mapped_rows()
+            np.testing.assert_array_equal(store.read(len(DATA)), DATA[0] + 1.0)
+        assert session.report().counters["columns.builds"] == 1  # one remap
         assert remapped is not first
         assert remapped.shape[0] == len(DATA) + 1
         np.testing.assert_array_equal(remapped[len(DATA)], DATA[0] + 1.0)
 
+    def test_overwrite_is_seen_by_the_next_read_and_gather(self, tmp_path):
+        """Replay heals a torn row with an in-place ``put_row``; the mapping
+        shares the file's bytes, so no remap is needed to see the heal."""
+        db = disk_rows(tmp_path)
+        before = db.data.gather([4, 5])  # maps the file
+        healed = DATA[5] * 2.0 - 3.0
+        with obs.capture() as session:
+            db.store.put_row(5, healed)
+            np.testing.assert_array_equal(db.data[5], healed)
+            np.testing.assert_array_equal(db.data.gather([4, 5]), [DATA[4], healed])
+        assert "columns.builds" not in session.report().counters
+        np.testing.assert_array_equal(before, DATA[[4, 5]])  # gathers are copies
+
     def test_gather_charges_physical_pages(self, tmp_path):
-        db = disk_rows(tmp_path, page_size=256, cache_pages=2)
+        db = disk_rows(tmp_path, page_size=256)
         db.reset_io()
         with obs.capture() as session:
             db.data.gather([0, 11])
@@ -70,14 +87,6 @@ class TestMappedBlock:
         assert counters["columns.builds"] == 1  # mapped once, reused until append
         assert counters["columns.gathers"] == 2
 
-    def test_unmappable_file_falls_back_to_page_reads(self, tmp_path, monkeypatch):
-        db = disk_rows(tmp_path)
-        monkeypatch.setattr(db.store, "mapped_rows", lambda: None)
-        with obs.capture() as session:
-            got = db.data.gather([3, 9])
-        np.testing.assert_array_equal(got, DATA[[3, 9]])
-        assert session.report().counters["pages.batch_reads"] == 1
-
     def test_columns_is_the_raw_rows_without_a_copy(self, tmp_path):
         disk = disk_rows(tmp_path)
         assert disk.columns() is disk.store.mapped_rows()
@@ -86,23 +95,3 @@ class TestMappedBlock:
         assert memory.columns() is None
         memory.ingest(DATA)
         assert memory.columns() is memory.data
-
-
-class TestBatchedReads:
-    def test_get_rows_matches_individual_reads(self, tmp_path):
-        store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
-        ids = [9, 3, 3, 21, 0]
-        batched = store.get_rows(ids)
-        for row, sid in zip(batched, ids):
-            np.testing.assert_array_equal(row, store.read(sid))
-
-    def test_get_rows_counts_one_batch(self, tmp_path):
-        store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
-        with obs.capture() as session:
-            store.get_rows([1, 5, 9])
-        assert session.report().counters["pages.batch_reads"] == 1
-
-    def test_get_rows_validates_ids(self, tmp_path):
-        store = PagedSeriesStore.write(tmp_path / "s.bin", DATA)
-        with pytest.raises(IndexError):
-            store.get_rows([0, len(DATA)])
